@@ -167,8 +167,9 @@ def compare(spec: dict, a_path: Path, b_path: Path | None) -> str:
                     if spread > bounds[name]:
                         verdict += "unresolved "
             if b_path and all(sides):
-                ratio = statistics.median(sides[1]) / statistics.median(sides[0])
-                cells.append(f"{ratio:>7.3f} ")
+                base = statistics.median(sides[0])
+                ratio = f"{statistics.median(sides[1]) / base:>7.3f}" if base else f"{'-':>7}"
+                cells.append(ratio + " ")
             rows.append(f"{workload:<9} {name:<12} " + "".join(cells) + verdict)
     return "\n".join(rows)
 

@@ -174,7 +174,8 @@ def test_compare_marks_wide_spread_unresolved(tmp=ROOT / ".perfbench" / "compare
         with open(path, "w") as fh:
             for seed, wall in enumerate(walls):
                 fh.write(json.dumps({"workload": "family", "seed": seed, "trace": 0, "metrics": {
-                    "wall_s": {"value": wall, "unit": "s"}}}) + "\n")
+                    "wall_s": {"value": wall, "unit": "s"},
+                    "error_rate": {"value": 0.0, "unit": "ratio"}}}) + "\n")
 
     try:
         write(tmp / "a.jsonl", [1.0, 1.001, 0.999, 1.0])
