@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload family --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload family --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --compare before.jsonl after.jsonl
 
 With ``--trace 0`` it prints the end-to-end metrics, with ``--trace 1`` the
@@ -11,17 +11,9 @@ object ``{"correct", "attempted", "failed", "metrics"}``.  ``--out FILE``
 appends the full record (sample counts, error rate, p90, environment) to a
 JSON-lines file; ``--compare`` reports two such files side by side.
 
-The workload runs in a child process, after set-up-only children, so that
-``setup_s`` is the median of several cold set-ups.  This process imports
-neither numpy nor luinv.
-
-End-to-end times of the in-process workloads are reported at a reference
-speed: each raw time is scaled by a fixed reference over the median of a
-speed probe (a fixed unit of interpreter and numpy work, see workloads.probe)
-taken in the same process between requests.  On a shared host whose speed
-drifts between runs this removes most of the drift.  The cli workload, whose
-work runs in other processes, reports raw times.  Raw times and the probe
-are in every record.
+The workload runs in a child process, which starts further cold set-ups of
+its own between requests; ``setup_s`` is the median of them all.  This
+process imports neither numpy nor luinv.
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUPS = 3  # set-ups per run: SETUPS - 1 set-up-only children plus the measuring one
 DEADLINE_S = 175  # a run must end within 180 s
 # One BLAS thread: requests are sequential and the machine has two cores.
 BLAS_ENV = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -72,15 +63,10 @@ def run(spec: dict, workload: str, seed: int, seconds: float, trace: bool) -> di
         names = [m["name"] for m in spec["per_layer"]]
         metrics = rec.pop("metrics")
     else:
-        setups = [_child(workload, seed, "setup", 0, deadline) for _ in range(SETUPS - 1)]
         rec = _child(workload, seed, "measure", seconds, deadline)
-        setups.append({k: rec.pop(k) for k in ("setup_s", "raw_setup_s", "setup_probe_ms")})
-        metrics = {"setup_s": statistics.median(s["setup_s"] for s in setups)}
-        for key in ("wall_s", "req_p50_ms", "req_p90_ms", "peak_rss_mb"):
-            if key in rec:
-                metrics[key] = rec.pop(key)
+        metrics = {key: rec.pop(key) for key in
+                   ("setup_s", "wall_s", "req_p50_ms", "req_p90_ms", "peak_rss_mb") if key in rec}
         metrics["error_rate"] = rec["failed"] / rec["requests"]
-        rec["setups"] = setups
         names = [m["name"] for m in spec["end_to_end"]]
     missing = [n for n in names if n not in metrics]
     if missing:
@@ -105,13 +91,6 @@ def summary(rec: dict) -> str:
     for name, m in rec["metrics"].items():
         note = counts.get(name, "") if not rec["trace"] else ""
         lines.append(f"  {name:<48} {m['value']:>14.6g} {m['unit']:<6} {note}")
-    if not rec["trace"]:
-        raw = statistics.median(s["raw_setup_s"] for s in rec["setups"])
-        scaling = (f"scaled by reference {rec['probe_ref_ms']:.4g} ms over the speed probe's "
-                   f"median {rec['probe_ms']:.4g} ms ({rec['probes']} probes)"
-                   if rec["scaled"] else "reported raw")
-        lines.append(f"  raw: setup_s {raw:.6g} s, wall_s {rec['raw_wall_s']:.6g} s, "
-                     f"req_p50_ms {rec['raw_req_p50_ms']:.6g} ms; times {scaling}")
     for msg in rec["failures"]:
         lines.append(f"  FAILED: {msg}")
     return "\n".join(lines)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import shutil
 import subprocess
 import sys
@@ -56,17 +55,13 @@ def test_tiny_untraced_runs_are_correct():
     for cls in W.WORKLOADS:
         wl = _tiny(cls)
         try:
-            res = W.measure(wl, 0)
+            res = W.measure(wl, 0, setups=2)
         finally:
             wl.close()
         assert res["failed"] == 0, (cls.name, res["failures"])
         assert res["requests"] >= 1
         for name in END_TO_END:
-            assert name in res, (cls.name, name)
-            if name != "peak_rss_mb":  # times are scaled to the reference speed
-                probe_ms = res["setup_probe_ms"] if name == "setup_s" else res["probe_ms"]
-                scale = res["probe_ref_ms"] / probe_ms if cls.scaled else 1.0
-                assert math.isclose(res[name], res[f"raw_{name}"] * scale)
+            assert res[name] > 0, (cls.name, name)
 
 
 def test_tiny_traced_runs_cover_every_layer_metric():
@@ -75,7 +70,7 @@ def test_tiny_traced_runs_cover_every_layer_metric():
     for cls in W.WORKLOADS:
         wl = _tiny(cls)
         try:
-            res = W.trace(wl, 0)
+            res = W.trace(wl)
         finally:
             wl.close()
         assert res["failed"] == 0, (cls.name, res["failures"])

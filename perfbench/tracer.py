@@ -110,9 +110,8 @@ BOUNDARIES = (
 class Tracer:
     """Wraps luinv boundaries and accumulates counters and spans in memory."""
 
-    def __init__(self, boundaries=BOUNDARIES, span_limit: int = SPAN_LIMIT):
+    def __init__(self, boundaries=BOUNDARIES):
         self.boundaries = boundaries
-        self.span_limit = span_limit
         self.request = None
         self.absent: list[str] = []
         self._bindings: list[tuple[object, str, object]] = []
@@ -156,7 +155,7 @@ class Tracer:
                     parent[0] += dt
                 if extra is not None:
                     extra(c["extra"], args, kwargs, dt)
-                if c["calls"] <= self.span_limit:
+                if c["calls"] <= SPAN_LIMIT:
                     self.spans.append(
                         (self.request, span_id, parent and parent[1], name, start, end)
                     )

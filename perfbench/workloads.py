@@ -3,9 +3,10 @@
     python3 perfbench/workloads.py --workload NAME --seed N --mode MODE --seconds S
 
 MODE is ``setup`` (set up and exit), ``measure`` (set up, run whole batches
-for about S seconds, check every output) or ``trace`` (the same with the
-outside-in tracer on part of the run).  The last stdout line is one JSON
-object.
+for S seconds of request time with more set-ups in child processes between
+requests, check every output) or ``trace`` (set up, run a fixed
+set of batches once without and once with the outside-in tracer, check every
+output; S is not used).  The last stdout line is one JSON object.
 
 Every workload is one closed-loop client: a request is sent only after the
 previous one returned.  Inputs of batch b come from the generator seeded with
@@ -47,31 +48,9 @@ LU_TOL = 1e-9  # acceptance criterion 3, scaled by max(1, |I|)
 SUDBERY_TOL = 1e-10  # acceptance criterion 4, absolute
 ALGEBRA_TOL = 1e-10  # relative two-norm residual, as in acceptance criterion 1
 CLI_RTOL = 1e-9  # report value vs in-process value, scaled by max(1, |value|)
-TRACED_BATCH0 = 1_000_000  # traced batches draw inputs no untraced batch uses
 WARMUP_BATCH = 2_000_000  # the warm-up's inputs
+SETUPS = 3  # cold set-ups per measuring run; setup_s is their median
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-PROBE_EVERY_S = 0.1  # one speed probe per 100 ms of request time
-PROBE_REF_S = 0.0035  # the probe's median on the 2-core 2.1 GHz Xeon VM of the baseline
-SETUP_PROBES = 15
-_PROBE_G = np.ones((1024, 2, 2), dtype=complex)
-_PROBE_A = np.ones((1024, 4, 2, 2), dtype=complex)
-
-
-def probe() -> float:
-    """Seconds for one fixed unit of interpreter and numpy work.
-
-    The host's speed drifts by tens of percent between runs a minute apart
-    (a set-up repeated within one run agrees to a few percent), so reported
-    times are scaled by PROBE_REF_S over the probe's median in the same run:
-    times at the reference speed.  Raw times are kept in the record.
-    """
-    t = time.perf_counter()
-    s = 0
-    for i in range(10_000):
-        s += i * i % 7
-    for _ in range(2):
-        np.einsum("sjk,slkr->sljr", _PROBE_G, _PROBE_A)
-    return time.perf_counter() - t
 
 
 def _rel(a, b) -> float:
@@ -153,8 +132,8 @@ class Workload:
 
     name = ""
     stresses: tuple[str, ...] = ()
-    traced_batches = 1
-    scaled = True  # report times at the reference speed of the probe
+    traced_batches = 2
+    min_batches = 1  # a measuring run holds at least this many batches
 
     def __init__(self, seed: int, tiny: bool = False):
         self.seed = seed
@@ -189,7 +168,7 @@ class Family(Workload):
 
     name = "family"
     stresses = ("invariants", "cumulants")
-    traced_batches = 6
+    traced_batches = 8
 
     def __init__(self, seed, tiny=False):
         super().__init__(seed, tiny)
@@ -258,6 +237,10 @@ class Twirl(Workload):
 
     name = "twirl"
     stresses = ("haar", "cumulants")
+    # A batch takes about 7 s, so a run of `seconds` would hold one or two;
+    # four spread its memory-bound requests over half a minute of the host's
+    # drifting speed, which halves their run-to-run spread.
+    min_batches = 4
 
     def __init__(self, seed, tiny=False):
         super().__init__(seed, tiny)
@@ -300,7 +283,7 @@ class Algebra(Workload):
 
     name = "algebra"
     stresses = ("algebra",)
-    traced_batches = 2
+    traced_batches = 4
 
     def __init__(self, seed, tiny=False):
         super().__init__(seed, tiny)
@@ -402,11 +385,6 @@ class Cli(Workload):
     name = "cli"
     stresses = ("cli", "states", "report", "invariants", "cumulants", "haar", "density",
                 "mixed", "transvectants")
-    # Its requests are mostly interpreter start-up and imports in other
-    # processes, which track the host's speed far less than the probe does
-    # (scaling widened its run-to-run spread, with this probe and with a bare
-    # interpreter start-up as probe), so its times are reported raw.
-    scaled = False
 
     def __init__(self, seed, tiny=False):
         super().__init__(seed, tiny)
@@ -503,6 +481,8 @@ class Cli(Workload):
         return []
 
     def peak_rss_mb(self):
+        # The largest child; set-up children (an import and a 2-qubit gen)
+        # stay well below the n = 5 request processes.
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 
     def close(self):
@@ -514,14 +494,14 @@ BY_NAME = {w.name: w for w in WORKLOADS}
 
 
 def run_batches(wl: Workload, seconds: float, first: int = 0, count: int | None = None,
-                tracer: Tracer | None = None):
-    """Run whole batches: `count` of them, or else until one more batch would
-    end after `seconds`.  Returns per-request latencies, per-batch times (the
-    sum of their latencies), (request, output, error) records, and the times
-    of speed probes taken between requests, one per PROBE_EVERY_S of work."""
-    latencies, batch_s, records, probes = [], [], [], []
-    start = time.perf_counter()
-    owed = 0.0
+                tracer: Tracer | None = None, between=None):
+    """Run whole batches: `count` of them, or else until `seconds` of request
+    time and at least `wl.min_batches` batches have run.  `between(busy)` is
+    called after each request with the request time so far; its own time is
+    not request time.  Returns per-request latencies, per-batch times (the sum
+    of their latencies) and (request, output, error) records."""
+    latencies, batch_s, records = [], [], []
+    busy = 0.0
     b = first
     while True:
         reqs = wl.make_batch(b)
@@ -538,18 +518,17 @@ def run_batches(wl: Workload, seconds: float, first: int = 0, count: int | None 
             latencies.append(dt)
             records.append((req, out, err))
             batch += dt
-            owed += dt
-            while wl.scaled and owed >= PROBE_EVERY_S:
-                probes.append(probe())
-                owed -= PROBE_EVERY_S
+            busy += dt
+            if between is not None:
+                between(busy)
         batch_s.append(batch)
         b += 1
         if count is not None:
             if b - first >= count:
                 break
-        elif time.perf_counter() - start + statistics.median(batch_s) > seconds:
+        elif busy >= seconds and b - first >= wl.min_batches:
             break
-    return latencies, batch_s, records, probes or [probe()]
+    return latencies, batch_s, records
 
 
 def check_all(wl: Workload, records) -> list[str]:
@@ -591,33 +570,41 @@ def _ms_quantiles(latencies: list[float]) -> dict:
     return out
 
 
-def _scale(wl: Workload, probes: list[float]) -> float:
-    return PROBE_REF_S / statistics.median(probes) if wl.scaled else 1.0
-
-
 def setup(wl: Workload) -> dict:
-    """Set-up time from process start, raw and at the reference speed."""
+    """Set-up time from process start."""
     wl.setup()
-    raw = time.perf_counter() - T0
-    probes = [probe() for _ in range(SETUP_PROBES)]
-    return {"setup_s": raw * _scale(wl, probes), "raw_setup_s": raw,
-            "setup_probe_ms": statistics.median(probes) * 1e3}
+    return {"setup_s": time.perf_counter() - T0}
 
 
-def measure(wl: Workload, seconds: float) -> dict:
-    result = setup(wl)
-    latencies, batch_s, records, probes = run_batches(wl, seconds)
+def _setup_child(wl: Workload) -> float:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", wl.name,
+           "--seed", str(wl.seed), "--mode", "setup"]
+    proc = subprocess.run(cmd, cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+
+
+def measure(wl: Workload, seconds: float, setups: int = SETUPS) -> dict:
+    """Set up, then run batches for `seconds` of request time.
+
+    `setups - 1` cold set-ups run in child processes between requests, at
+    even steps of request time, so that set-up and requests are sampled over
+    the same stretch of the host's drifting speed.
+    """
+    setup_s = [setup(wl)["setup_s"]]
+
+    def between(busy: float) -> None:
+        while len(setup_s) < setups and busy >= seconds * len(setup_s) / setups:
+            setup_s.append(_setup_child(wl))
+
+    latencies, batch_s, records = run_batches(wl, seconds, between=between)
     peak = wl.peak_rss_mb()
-    raw = {"wall_s": statistics.median(batch_s), **_ms_quantiles(latencies)}
     failures = check_all(wl, records)
     return {
-        **result,
-        **{k: v * _scale(wl, probes) for k, v in raw.items()},
-        **{f"raw_{k}": v for k, v in raw.items()},
-        "scaled": wl.scaled,
-        "probe_ms": statistics.median(probes) * 1e3,
-        "probe_ref_ms": PROBE_REF_S * 1e3,
-        "probes": len(probes),
+        "setup_s": statistics.median(setup_s),
+        "setups": setup_s,
+        "wall_s": statistics.median(batch_s),
+        **_ms_quantiles(latencies),
         "peak_rss_mb": peak,
         "batches": len(batch_s),
         "requests": len(latencies),
@@ -635,11 +622,13 @@ def _cold_import_ms() -> float:
     return statistics.median(times) * 1e3
 
 
-def trace(wl: Workload, seconds: float) -> dict:
-    """Untraced batches for half the time, then `traced_batches` traced ones.
+def trace(wl: Workload) -> dict:
+    """`traced_batches` batches, each run once untraced and once traced.
 
-    Counters cover the traced batches only, so counts repeat exactly for a
-    seed; the warm-up is traced too, for first-call cost and its memory.
+    The batches are fixed, so counters repeat exactly for a seed, and the
+    tracer's overhead compares the same inputs on both sides; which side runs
+    first alternates from batch to batch.  The warm-up is traced too, for
+    first-call cost and its memory; counters then cover the traced batches.
     """
     tracer = Tracer()
     tracer.install()
@@ -647,37 +636,44 @@ def trace(wl: Workload, seconds: float) -> dict:
     warm_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     tracer.uninstall()
     tracer.reset()
-    _, batch_u, rec_u, probes_u = run_batches(wl, seconds / 2)
-    tracer.install()
-    wl.traced = True
-    _, batch_t, rec_t, probes_t = run_batches(wl, 0, first=TRACED_BATCH0,
-                                              count=wl.traced_batches, tracer=tracer)
-    wl.traced = False
-    tracer.uninstall()
+    untraced, traced, records = 0.0, 0.0, []
+    for k in range(wl.traced_batches):
+        for on in (k % 2 == 0, k % 2 == 1):
+            if on:
+                tracer.install()
+            wl.traced = on
+            _, batch_s, recs = run_batches(wl, 0, first=k, count=1,
+                                           tracer=tracer if on else None)
+            wl.traced = False
+            tracer.uninstall()
+            records += recs
+            if on:
+                traced += batch_s[0]
+            else:
+                untraced += batch_s[0]
     counters = merge([tracer.dump(), *(d["counters"] for d in wl.dumps)])
     self_s = tracer.self_seconds() + sum(d["self_s"] for d in wl.dumps)
     metrics = layer_metrics(counters)
     metrics["cli.import_ms"] = _cold_import_ms() if isinstance(wl, Cli) else 0.0
     metrics["invariants.warmup_rss_mb"] = (
         max(d["rss_mb"] for d in wl.dumps) if wl.dumps else warm_rss)
-    untraced = statistics.median(batch_u) * _scale(wl, probes_u)
-    traced = statistics.median(batch_t) * _scale(wl, probes_t)
     metrics["trace.overhead_pct"] = (traced - untraced) / untraced * 100
     spans = tracer.span_records()
     for k, dump in enumerate(wl.dumps):  # one cli request process each
         spans += [{**rec, "request": f"process.{k}"} for rec in dump["spans"]]
     write_spans(WORKDIR / f"spans-{wl.name}-{wl.seed}.jsonl", spans)
-    failures = check_all(wl, rec_u + rec_t)
-    wall_t = sum(batch_t)
-    if self_s > wall_t:
+    failures = check_all(wl, records)
+    if self_s > traced:
         failures.append(f"tracer: layer self time {self_s:.3f} s exceeds traced wall "
-                        f"{wall_t:.3f} s")
+                        f"{traced:.3f} s")
     return {
         "metrics": metrics,
-        "traced_wall_s": wall_t,
+        "untraced_wall_s": untraced,
+        "traced_wall_s": traced,
         "layer_self_s": self_s,
         "absent": sorted(set(tracer.absent).union(*(d["absent"] for d in wl.dumps))),
-        "requests": len(rec_u) + len(rec_t),
+        "batches": 2 * wl.traced_batches,
+        "requests": len(records),
         "failed": len(failures),
         "failures": failures[:5],
     }
@@ -697,7 +693,7 @@ def main(argv=None) -> int:
         elif args.mode == "measure":
             result = measure(wl, args.seconds)
         else:
-            result = trace(wl, args.seconds)
+            result = trace(wl)
     finally:
         wl.close()
     result["env"] = environment()
