@@ -3,7 +3,8 @@
 Every subcommand prints one JSON report on stdout with canonical key
 order, so identical inputs, seed, and version give byte-identical
 output.  Exit codes: 0 success, 1 verification failure (a checked
-identity or verdict did not hold), 2 usage error.  The LUINV_SEED
+identity or verdict did not hold), 2 usage or resource error (bad
+arguments or input, unreadable files, not enough memory).  The LUINV_SEED
 environment variable supplies the default seed for seeded subcommands.
 """
 
@@ -197,10 +198,10 @@ def _cmd_selftest(args):
     if args.criteria:
         numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
 
-    def progress(res):
+    def progress(res, seconds):
         mark = "PASS" if res.passed else "FAIL"
-        print(f"criterion {res.number:2d} {mark}  {res.name}: {res.detail}",
-              file=sys.stderr)
+        print(f"criterion {res.number:2d} {mark}  {res.name}: {res.detail}"
+              f"  ({seconds:.2f} s)", file=sys.stderr)
 
     results = run_battery(numbers, progress)
     doc = make_report("selftest", [])
@@ -279,6 +280,10 @@ def run_command(argv) -> tuple[int, dict | None]:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2, None
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2, None
 
 

@@ -168,7 +168,7 @@ class APolynomial:
 
     def evaluate(self, state) -> complex:
         """Value at a state (AlgebraElement with d=2, or a flat table)."""
-        amps = _amps_of(state, self.n)
+        amps = qubit_amps(state, self.n)
         if not self.terms:
             return 0.0 + 0.0j
         coeffs, idx = self.compiled()
@@ -214,12 +214,14 @@ class APolynomial:
             raise ValueError(f"site {site} outside 1..{self.n}")
 
 
-def _amps_of(state, n: int) -> np.ndarray:
+def qubit_amps(state, n: int) -> np.ndarray:
+    """Flat amplitude table of an n-qubit state, an AlgebraElement with
+    d = 2 or anything numpy reads as 2**n complex numbers."""
     if isinstance(state, AlgebraElement):
         if state.d != 2:
-            raise ValueError("amplitude polynomials are defined for qubits only")
+            raise ValueError("amplitude tables are defined for qubits only")
         if state.n != n:
-            raise ValueError(f"state has {state.n} sites, polynomial has {n}")
+            raise ValueError(f"state has {state.n} sites, expected {n}")
         return state.coeffs
     amps = np.asarray(state, dtype=complex).reshape(-1)
     if amps.size != 2**n:

@@ -18,8 +18,8 @@ from math import comb, prod, sqrt
 
 import numpy as np
 
-from .cumulants import cumulant_poly, parse_index
-from .invariants import _qubit_amps, gamma_factor
+from .cumulants import cumulant_poly, parse_index, qubit_amps
+from .invariants import gamma_factor
 
 # Samples are processed in fixed-size chunks; the RNG stream, and hence
 # the estimate for a given (seed, samples), does not depend on anything else.
@@ -115,7 +115,7 @@ def twirl_estimate(state, index, samples: int = 100_000, seed: int = 0) -> Twirl
     theta = sum(bits)
     if theta < 2:
         raise ValueError("twirl oracle is defined for indices with theta >= 2")
-    amps = _qubit_amps(state, n)
+    amps = qubit_amps(state, n)
     return _twirl(amps, bits, gamma_factor(n, theta), samples, seed)
 
 
@@ -143,7 +143,7 @@ def register_twirl_estimate(
     n = len(kept_bits) + k
     if traced and (traced[0] < 1 or traced[-1] > n):
         raise ValueError(f"traced sites {traced} outside 1..{n}")
-    amps = _qubit_amps(state, n)
+    amps = qubit_amps(state, n)
     kept = [s for s in range(1, n + 1) if s not in traced]
     order = [s - 1 for s in kept + traced]
     amps = np.ascontiguousarray(amps.reshape((2,) * n).transpose(order)).reshape(-1)

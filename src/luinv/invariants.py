@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import cumulant_poly, parse_index
+from .cumulants import cumulant_poly, parse_index, qubit_amps
 from .density import density_matrix, partial_trace
 
 # Singular values below this fraction of the largest count as zero rank.
@@ -52,23 +52,10 @@ def _compiled_invariant(bits: tuple[int, ...]):
     return tuple((w, p) for w, p in pieces if p.terms)
 
 
-def _qubit_amps(state, n: int) -> np.ndarray:
-    if isinstance(state, AlgebraElement):
-        if state.d != 2:
-            raise ValueError("invariants are defined for qubit states")
-        if state.n != n:
-            raise ValueError(f"state has {state.n} sites, index has {n}")
-        return state.coeffs
-    amps = np.asarray(state, dtype=complex).reshape(-1)
-    if amps.size != 2**n:
-        raise ValueError(f"amplitude table length {amps.size}, expected {2**n}")
-    return amps
-
-
 def cumulant_invariant(state, index) -> float:
     """Value of the invariant I_index at a pure state; always >= 0."""
     bits = parse_index(index)
-    amps = _qubit_amps(state, len(bits))
+    amps = qubit_amps(state, len(bits))
     if sum(bits) == 1:
         return float(np.vdot(amps, amps).real)
     total = 0.0
@@ -111,7 +98,7 @@ def sudbery_j(state, which: int | None = None):
 
     Returns the tuple (J1..J5), or a single value when `which` is 1..5.
     """
-    amps = _qubit_amps(state, 3)
+    amps = qubit_amps(state, 3)
     rho = density_matrix(amps)
     rho1 = partial_trace(rho, [1])
     rho2 = partial_trace(rho, [2])

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from itertools import combinations, cycle, islice
 from math import factorial, sqrt
@@ -493,7 +494,11 @@ CRITERIA = (
 
 
 def run_battery(numbers=None, progress=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), in order."""
+    """Run the selected criteria (all by default), in order.
+
+    `progress`, if given, is called as progress(result, seconds) after
+    each criterion, with the criterion's wall time in seconds.
+    """
     wanted = set(numbers) if numbers else set(range(1, len(CRITERIA) + 1))
     bad = wanted - set(range(1, len(CRITERIA) + 1))
     if bad:
@@ -502,8 +507,9 @@ def run_battery(numbers=None, progress=None) -> list[CriterionResult]:
     for k, fn in enumerate(CRITERIA, start=1):
         if k not in wanted:
             continue
+        start = time.perf_counter()
         res = fn()
         if progress is not None:
-            progress(res)
+            progress(res, time.perf_counter() - start)
         results.append(res)
     return results

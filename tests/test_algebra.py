@@ -227,3 +227,92 @@ def test_permute_sites():
     assert permute_sites(rolled, (3, 1, 2)).allclose(psi)
     with pytest.raises(ValueError):
         permute_sites(psi, (1, 1, 2))
+
+
+# Literal oracle: the product as a sum over every pair of words whose digits
+# add without a carry, and inverse, log and exp as their finite Taylor sums
+# over that product.  Independent of the ranked FFT engine.
+
+
+def _carry_free_pairs(n, d):
+    """Flat indices (i, j, i + j) of every carry-free pair of words."""
+    a, b = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) < d)
+    i = j = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        i = (i[:, None] * d + a).ravel()
+        j = (j[:, None] * d + b).ravel()
+    return i, j, i + j
+
+
+def _oracle_product(x, y, n, d):
+    i, j, k = _carry_free_pairs(n, d)
+    out = np.zeros(d**n, dtype=complex)
+    np.add.at(out, k, x[i] * y[j])
+    return out
+
+
+def _oracle_series(x, series, n, d):
+    r = np.array(x, dtype=complex)
+    r[0] = 0.0
+    out = np.zeros_like(r)
+    out[0] = series[0]
+    power = r
+    for coeff in series[1:]:
+        out += coeff * power
+        power = _oracle_product(power, r, n, d)
+    return out
+
+
+def _oracle(name, x):
+    n, d, c = x.n, x.d, x.coeffs
+    a, order = c[0], nilpotent_order(n, d)
+    ks = range(1, order + 1)
+    series = {
+        "inverse": [(-1) ** k / a ** (k + 1) for k in range(order + 1)],
+        "log": [np.log(a)] + [(-1) ** (k - 1) / (k * a**k) for k in ks],
+        "exp": np.exp(a) / np.cumprod([1.0, *ks]),
+    }[name]
+    return _oracle_series(c, series, n, d)
+
+
+def _rel(got, want):
+    # relative to the result's two-norm, as the acceptance battery measures
+    return np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+
+
+def _spread_element(rng, n, d):
+    """Unit constant term; other amplitudes log-uniform over 1e-6..1."""
+    mags = 10.0 ** rng.uniform(-6, 0, d**n)
+    c = mags * np.exp(2j * np.pi * rng.uniform(size=d**n))
+    c[0] = 1.0
+    return AlgebraElement(n, d, c)
+
+
+ORACLE_GRID = [(n, d) for d in (2, 3, 4) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_kernels_match_oracle_on_spread_amplitudes(n, d):
+    rng = np.random.default_rng(1000 * d + n)
+    x, y = _spread_element(rng, n, d), _spread_element(rng, n, d)
+    assert _rel((x * y).coeffs, _oracle_product(x.coeffs, y.coeffs, n, d)) < 1e-12
+    for name, fn in (("inverse", inverse), ("log", log), ("exp", exp)):
+        assert _rel(fn(x).coeffs, _oracle(name, x)) < 1e-12, name
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_product_of_nilpotent_elements_matches_oracle(n, d):
+    rng = np.random.default_rng(2000 * d + n)
+    x, y = gaussian_state(rng, n, d).coeffs.copy(), gaussian_state(rng, n, d).coeffs.copy()
+    x[0] = y[0] = 0.0
+    got = product(AlgebraElement(n, d, x), AlgebraElement(n, d, y)).coeffs
+    assert got[0] == 0.0
+    assert _rel(got, _oracle_product(x, y, n, d)) < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(10, 2), (7, 3)])
+def test_identities_at_large_n(n, d):
+    rng = np.random.default_rng(3000 * d + n)
+    x = tame_element(rng, n, d)
+    assert _rel(exp(log(x)).coeffs, x.coeffs) < 1e-10
+    assert _rel((x * inverse(x)).coeffs, AlgebraElement.one(n, d).coeffs) < 1e-10

@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import luinv
+from luinv import cli
 from luinv.algebra import permute_sites, tensor
 from luinv.cli import run_command
 from luinv.report import make_entry, make_report, render_report
@@ -191,6 +194,19 @@ class TestUsageErrors:
         capsys.readouterr()
         assert code == 2
 
+    def test_memory_error_is_a_resource_error(self, ghz_file, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "_cmd_twirl", out_of_memory)
+        code, doc = run_command(
+            ["twirl", "--state", ghz_file, "--index", "111",
+             "--samples", "1000000000000"]
+        )
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
 
 class TestReportRendering:
     def test_entry_requires_known_method(self):
@@ -222,3 +238,43 @@ class TestReportRendering:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert json.loads(r1.stdout.decode())["tool"] == "luinv"
+
+
+SELFTEST_12_REPORT = """{
+  "criteria": [
+    {
+      "detail": "identity exact for all 556 (partition, d) pairs up to n = 6",
+      "id": 12,
+      "name": "dimension counts",
+      "passed": true
+    }
+  ],
+  "entries": [],
+  "input_digest": "selftest",
+  "tool": "luinv",
+  "verdict": "pass",
+  "version": "%s"
+}
+"""
+
+
+class TestProcess:
+    def test_selftest_stdout_unchanged_and_timed_on_stderr(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "luinv", "selftest", "--criteria", "12"],
+            capture_output=True, env=dict(os.environ),
+        )
+        assert run.returncode == 0
+        assert run.stdout.decode() == SELFTEST_12_REPORT % luinv.__version__
+        assert re.fullmatch(
+            r"criterion 12 PASS  dimension counts: .*  \(\d+\.\d\d s\)\n",
+            run.stderr.decode(),
+        )
+
+    def test_import_does_not_load_scipy(self):
+        probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=dict(os.environ)
+        )
+        assert run.returncode == 0
+        assert run.stdout.decode().strip() == "False"

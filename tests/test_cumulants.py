@@ -15,6 +15,8 @@ from luinv.cumulants import (
     splitting_indices,
     support,
 )
+from luinv.haar import twirl_estimate
+from luinv.invariants import cumulant_invariant
 from conftest import anchored_state, gaussian_state
 
 
@@ -251,3 +253,21 @@ def test_zeroed_splitting_cumulants_factorize():
             m = t.transpose(perm).reshape(2 ** len(block), 2 ** len(rest))
             svals = np.linalg.svd(m, compute_uv=False)
             assert svals[1:].max(initial=0.0) < 1e-10 * svals[0]
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda state, idx: cumulant_poly(idx).evaluate(state),
+        cumulant_invariant,
+        lambda state, idx: twirl_estimate(state, idx, samples=100),
+    ],
+    ids=["APolynomial.evaluate", "cumulant_invariant", "twirl_estimate"],
+)
+def test_amplitude_tables_are_checked(evaluate):
+    with pytest.raises(ValueError, match="qubits only"):
+        evaluate(AlgebraElement.one(2, 3), "11")
+    with pytest.raises(ValueError, match="3 sites, expected 2"):
+        evaluate(GHZ3, "11")
+    with pytest.raises(ValueError, match="length 8, expected 4"):
+        evaluate(GHZ3.coeffs, "11")
