@@ -15,10 +15,10 @@ import os
 import sys
 from itertools import combinations
 
-from .cumulants import parse_index, splitting_indices
+from .cumulants import index_str, parse_index, splitting_indices
 from .invariants import cumulant_invariant, invariant_family
 from .haar import twirl_estimate
-from .mixed import lifted_invariant_pair, zhou_m
+from .mixed import lifted_invariant_pair, padded_index, zhou_m
 from .report import make_entry, make_report, render_report
 from .states import (
     STATE_KINDS,
@@ -54,10 +54,6 @@ def _site_index(args, n: int) -> tuple[int, ...]:
     return bits
 
 
-def _idx_str(bits) -> str:
-    return "".join(str(b) for b in bits)
-
-
 def _cmd_invariants(args):
     psi = _load(args)
     n = psi.n
@@ -67,7 +63,7 @@ def _cmd_invariants(args):
         for idx in indices:
             entries.append(
                 make_entry(
-                    _idx_str(idx),
+                    index_str(idx),
                     cumulant_invariant(psi, idx),
                     2 * sum(idx),
                     "closed-form",
@@ -79,7 +75,7 @@ def _cmd_invariants(args):
                 (m for m in range(2**n) if bin(m).count("1") % 2 == 0 and m),
                 key=lambda m: (bin(m).count("1"), m),
             )
-            indices = [_idx_str((m >> (n - 1 - i)) & 1 for i in range(n)) for m in masks]
+            indices = [index_str((m >> (n - 1 - i)) & 1 for i in range(n)) for m in masks]
         else:
             indices = [args.index]
         for idx in indices:
@@ -113,7 +109,7 @@ def _cmd_separability(args):
         val = cumulant_invariant(psi, idx)
         theta = sum(idx)
         separable &= val <= SEPARABLE_RTOL * norm_sq**theta
-        entries.append(make_entry(_idx_str(idx), val, 2 * theta, "closed-form"))
+        entries.append(make_entry(index_str(idx), val, 2 * theta, "closed-form"))
     doc = make_report(state_digest(psi), entries)
     doc["partition"] = "|".join(",".join(str(s) for s in b) for b in blocks)
     doc["norm_sq"] = norm_sq
@@ -131,9 +127,9 @@ def _cmd_twirl(args):
     diff = abs(est.mean - closed)
     allowed = 5 * est.std_error + 1e-12 * max(1.0, abs(closed))
     entries = [
-        make_entry(_idx_str(idx), closed, 2 * sum(idx), "closed-form"),
+        make_entry(index_str(idx), closed, 2 * sum(idx), "closed-form"),
         make_entry(
-            _idx_str(idx), est.mean, 2 * sum(idx), "monte-carlo", est.std_error
+            index_str(idx), est.mean, 2 * sum(idx), "monte-carlo", est.std_error
         ),
     ]
     doc = make_report(state_digest(psi), entries, seed=seed)
@@ -153,17 +149,14 @@ def _cmd_lift(args):
             raise ValueError(f"traced site {tok!r} is not a positive integer")
         traced.append(int(tok))
     kept_bits = parse_index(args.index)
+    full = padded_index(psi.n, traced, kept_bits)
     i_val, j_val = lifted_invariant_pair(psi, traced, kept_bits)
-    full = [0] * psi.n
-    kept = [s for s in range(1, psi.n + 1) if s not in set(traced)]
-    for site, b in zip(kept, kept_bits):
-        full[site - 1] = b
     diff = abs(i_val - j_val)
     allowed = LIFT_RTOL * max(1.0, abs(i_val))
     theta = sum(kept_bits)
     entries = [
-        make_entry(_idx_str(full), i_val, 2 * theta, "closed-form"),
-        make_entry(_idx_str(kept_bits), j_val, 2 * theta, "closed-form"),
+        make_entry(index_str(full), i_val, 2 * theta, "closed-form"),
+        make_entry(index_str(kept_bits), j_val, 2 * theta, "closed-form"),
     ]
     doc = make_report(state_digest(psi), entries)
     doc["trace_out"] = sorted(set(traced))
@@ -176,7 +169,7 @@ def _cmd_lift(args):
 def _cmd_zhou(args):
     psi = _load(args)
     idx = _site_index(args, psi.n)
-    entries = [make_entry(_idx_str(idx), zhou_m(psi, idx), 2 * sum(idx), "zhou")]
+    entries = [make_entry(index_str(idx), zhou_m(psi, idx), 2 * sum(idx), "zhou")]
     return 0, make_report(state_digest(psi), entries)
 
 

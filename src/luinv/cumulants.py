@@ -40,6 +40,11 @@ def parse_index(index) -> tuple[int, ...]:
     return bits
 
 
+def index_str(bits) -> str:
+    """String form of an index, site 1 first; parse_index reads it back."""
+    return "".join(str(b) for b in bits)
+
+
 def support(index) -> tuple[int, ...]:
     """1-based positions of the 1s in an index."""
     bits = parse_index(index)
@@ -150,13 +155,6 @@ class APolynomial:
     def __repr__(self) -> str:
         return f"APolynomial(n={self.n}, terms={len(self.terms)}, degree={self.degree})"
 
-    def same_terms(self, expected: dict, tol: float = 0.0) -> bool:
-        """Compare against a {key: coeff} dict, exact by default."""
-        want = {tuple(sorted(k)): complex(c) for k, c in expected.items() if c != 0}
-        if set(want) != set(self.terms):
-            return False
-        return all(abs(self.terms[k] - want[k]) <= tol for k in want)
-
     def compiled(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient vector and factor-index matrix for fast evaluation."""
         if self._compiled is None:
@@ -197,16 +195,6 @@ class APolynomial:
                     flipped[t] |= bit
                 fk = tuple(sorted(flipped))
                 new[fk] = new.get(fk, 0) + coeff
-        return APolynomial(self.n, new)
-
-    def lowered(self, site: int) -> "APolynomial":
-        """Lowering operator L_site: set the site's digit to 0 in every factor."""
-        self._check_site(site)
-        mask = ~(1 << (self.n - site))
-        new: dict[tuple[int, ...], complex] = {}
-        for key, coeff in self.terms.items():
-            lk = tuple(sorted(f & mask for f in key))
-            new[lk] = new.get(lk, 0) + coeff
         return APolynomial(self.n, new)
 
     def _check_site(self, site: int) -> None:

@@ -8,9 +8,6 @@ import numpy as np
 
 from .algebra import AlgebraElement
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
-
 
 def sites_of(rho: np.ndarray) -> int:
     """Number of qubit sites of a square matrix, validating the shape."""
@@ -32,19 +29,6 @@ def density_matrix(psi) -> np.ndarray:
     else:
         amps = np.asarray(psi, dtype=complex).reshape(-1)
     return np.outer(amps, amps.conj())
-
-
-def check_density(rho: np.ndarray, psd: bool = False) -> None:
-    """Validate hermiticity (and optionally positivity) of a density matrix."""
-    rho = np.asarray(rho)
-    sites_of(rho)
-    scale = max(float(np.abs(rho).max()), 1e-300)
-    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if psd:
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -PSD_TOL * max(scale, 1.0):
-            raise ValueError(f"matrix has negative eigenvalue {evals.min():.3e}")
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

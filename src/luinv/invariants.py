@@ -1,32 +1,51 @@
-"""Closed-form local-unitary invariants built from cumulant polynomials.
+"""Closed-form local-unitary invariants by roots-of-unity interpolation.
 
 Averaging |d_index|^2 over independent local SU(2) rotations collapses,
 via the moment integrals of single-qubit Haar matrices, to a finite
-weighted sum over raising-operator images of d:
+weighted sum over raising-operator images of the cleared cumulant d:
 
-    I_index = sum over k-vectors of
-        prod_p alpha_{k_p} * | prod_p R_{p,k_p} d |^2 (state)
+    I_index = sum over k-vectors of prod_p alpha_{p,k_p} |c_k|^2,
+    c_k = (prod_p R_{p,k_p} d)(psi),
 
-where at a 0-site alpha_k = 1/C(theta, k) with k = 0..theta, and at a
-1-site alpha_k = 1/C(theta-2, k) with k = 0..theta-2.  The norm index
-(theta = 1) is handled separately: I = <psi|psi>.
+where alpha_{p,k} = 1/C(theta, k) at a 0-site and 1/C(theta-2, k) at a
+1-site.  The images are the Taylor coefficients of
+
+    F(t) = d(prod_p (1 + t_p E_p) psi),
+
+where E_p adds the site-p digit-1 amplitude to the digit-0 one.  F has
+degree at most theta in t_p at a 0-site and at most theta-2 at a 1-site,
+where R_{p,theta-1} d has no terms.  So F is sampled on a grid of roots
+of unity with one axis per site, of length theta+1 at a 0-site and
+theta-1 at a 1-site; the n-D FFT of the samples divided by the grid size
+is every c_k, without aliasing.  d is evaluated as a polynomial in the
+transformed amplitudes, never as a_{0..0}^theta times the log, because
+a_{0..0} can vanish on grid points (for W, 1 + w + w^2 = 0).  The norm
+index (theta = 1) is handled separately: I = <psi|psi>.
+
+One evaluator serves every caller: it takes a batch of amplitude tables,
+so the Jacobian makes one call per index for all its shifted states.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import cumulant_poly, parse_index, qubit_amps
+from .cumulants import cumulant_poly, parse_index, qubit_amps, support
 from .density import density_matrix, partial_trace
 
 # Singular values below this fraction of the largest count as zero rank.
 JACOBIAN_SV_RTOL = 1e-7
+
+# Grid points per block: a block holds as many states as fit, and the
+# product over d's factors runs over at most this many grid points at a
+# time, so the work arrays stay small for any grid or batch size.
+CHUNK = 1024
 
 
 def gamma_factor(n: int, theta: int) -> float:
@@ -36,32 +55,84 @@ def gamma_factor(n: int, theta: int) -> float:
     return float((theta + 1) ** (n - theta) * (theta - 1) ** theta)
 
 
-@lru_cache(maxsize=None)
-def _compiled_invariant(bits: tuple[int, ...]):
-    """Raising-operator images of d with their moment weights, compiled."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=256)
+def _grid_plan(bits: tuple[int, ...]):
+    """Axis lengths, roots of unity, moment weights and d for one index.
+
+    d's factor words have digit 0 off the support, so they are renumbered
+    over the support digits alone, the first support site least significant.
+    """
+    n = len(bits)
     theta = sum(bits)
-    pieces = [(1.0, cumulant_poly(bits))]
-    for site, b in enumerate(bits, 1):
-        kmax = theta - 2 if b else theta
+    lengths = tuple(theta - 1 if b else theta + 1 for b in bits)
+    roots = tuple(_frozen(np.exp(2j * np.pi * np.arange(m) / m)) for m in lengths)
+    weights = np.ones(())
+    for b, m in zip(bits, lengths):
         base = theta - 2 if b else theta
-        grown = []
-        for weight, poly in pieces:
-            for k in range(kmax + 1):
-                grown.append((weight / comb(base, k), poly.raised(site, k)))
-        pieces = grown
-    return tuple((w, p) for w, p in pieces if p.terms)
+        weights = np.multiply.outer(weights, [1.0 / comb(base, k) for k in range(m)])
+    coeffs, idx = cumulant_poly(bits).compiled()
+    local = sum(((idx >> (n - site)) & 1) << i for i, site in enumerate(support(bits)))
+    return (lengths, roots, _frozen(weights.reshape(-1)),
+            _frozen(coeffs.reshape(-1, 1)), _frozen(local))
+
+
+def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
+    lengths, roots, weights, coeffs, local = _grid_plan(bits)
+    n, theta, points = len(bits), sum(bits), prod(lengths)
+    out = np.empty(amps.shape[0])
+    per = max(1, CHUNK // points)
+    for s0 in range(0, amps.shape[0], per):
+        block = amps[s0 : s0 + per]
+        # Axes of t: the digits kept at the 1-sites done (latest first), the
+        # sites to do, the state, the grid axes of the sites done.
+        t = block.T.reshape((2,) * n + (block.shape[0],))
+        digits = 0
+        for b, root in zip(bits, roots):
+            at = (slice(None),) * digits
+            hi = t[at + (1, ..., None)]
+            raised = t[at + (0, ..., None)] + hi * root
+            if b:
+                raised = np.stack((raised, np.broadcast_to(hi, raised.shape)))
+                digits += 1
+            t = raised
+        table = t.reshape(2**theta, -1)
+        samples = np.empty(table.shape[1], dtype=complex)
+        for c0 in range(0, table.shape[1], CHUNK):
+            part = table[:, c0 : c0 + CHUNK]
+            h = part[local[:, 0]] * coeffs
+            for r in range(1, theta):
+                h *= part[local[:, r]]
+            samples[c0 : c0 + CHUNK] = h.sum(axis=0)
+        c = np.fft.fftn(samples.reshape((-1,) + lengths), axes=range(1, n + 1)) / points
+        sq = (c.real**2 + c.imag**2).reshape(c.shape[0], -1)
+        out[s0 : s0 + per] = (sq * weights).sum(axis=1)
+    return np.maximum(out, 0.0)
+
+
+def cumulant_invariant_batch(amps, index) -> np.ndarray:
+    """Values of I_index at a batch of amplitude tables, shape (B, 2**n)."""
+    bits = parse_index(index)
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != 2 ** len(bits):
+        raise ValueError(
+            f"amplitude batch has shape {amps.shape}, expected (B, {2 ** len(bits)})"
+        )
+    if sum(bits) == 1:
+        return np.array([np.vdot(a, a).real for a in amps])
+    return _grid_invariants(amps, bits)
 
 
 def cumulant_invariant(state, index) -> float:
     """Value of the invariant I_index at a pure state; always >= 0."""
     bits = parse_index(index)
     amps = qubit_amps(state, len(bits))
-    if sum(bits) == 1:
-        return float(np.vdot(amps, amps).real)
-    total = 0.0
-    for weight, poly in _compiled_invariant(bits):
-        total += weight * abs(poly.evaluate(amps)) ** 2
-    return max(total, 0.0)
+    return float(cumulant_invariant_batch(amps[None], bits)[0])
 
 
 def invariant_family(n: int) -> list[tuple[int, ...]]:
@@ -150,26 +221,28 @@ def invariant_jacobian(
     if step <= 0:
         raise ValueError("step must be positive")
     if isinstance(state, AlgebraElement):
-        amps = state.coeffs.copy()
+        amps = state.coeffs
         n = state.n
     else:
-        amps = np.asarray(state, dtype=complex).reshape(-1).copy()
+        amps = np.asarray(state, dtype=complex).reshape(-1)
         n = int(round(np.log2(amps.size)))
     if indices is None:
         indices = invariant_family(n)
     indices = [parse_index(ix) for ix in indices]
+    # Row 2j + part shifts amplitude j by step (part 0) or i step (part 1);
+    # every shifted state of an index goes to the evaluator in one batch.
+    m = 2 * amps.size
+    slot = np.arange(m)
+    delta = np.where(slot % 2, 1j * step, step)
+    up = np.tile(amps, (m, 1))
+    up[slot, slot // 2] += delta
+    down = up.copy()
+    down[slot, slot // 2] -= 2 * delta
+    shifted = np.concatenate((up, down))
     rows = []
     for bits in indices:
-        grad = np.empty(2 * amps.size)
-        for j in range(amps.size):
-            for part, delta in ((0, step), (1, 1j * step)):
-                shifted = amps.copy()
-                shifted[j] += delta
-                up = cumulant_invariant(shifted, bits)
-                shifted[j] -= 2 * delta
-                down = cumulant_invariant(shifted, bits)
-                grad[2 * j + part] = (up - down) / (2 * step)
-        rows.append(grad)
+        vals = cumulant_invariant_batch(shifted, bits)
+        rows.append((vals[:m] - vals[m:]) / (2 * step))
     return np.array(rows)
 
 

@@ -6,7 +6,10 @@ lifts to density matrices by symmetrizing each monomial:
     Prod_r a_{i^r} Prod_s abar_{j^s}
         -> (1/theta!) sum_sigma Prod_r rho[i^r, j^sigma(r)]
 
-On |psi><psi| the lift reproduces J, and tracing one site out of a
+The lift needs I as explicit polynomials, so `invariant_pieces` expands
+the closed form term by term, one polynomial per raising-operator image
+of d; `invariants` evaluates I by interpolation instead and never builds
+these.  On |psi><psi| the lift reproduces J, and tracing one site out of a
 pure state matches a 0 at that site of the invariant's index.  For k
 traced sites the lift at the reduced state is the twirl in which the
 kept sites get independent SU(2)s and the traced register one Haar
@@ -22,17 +25,34 @@ site order.  Half the trace norm of rho_c is the correlation measure M.
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import parse_index, set_partitions, support
+from .cumulants import APolynomial, cumulant_poly, parse_index, set_partitions, support
 from .density import density_matrix, partial_trace, sites_of
-from .invariants import _compiled_invariant, cumulant_invariant
+from .invariants import cumulant_invariant
 
 # Eigenvalues of the cumulant operator at or below this size count as zero.
 EIGENVALUE_FLOOR = 1e-12
+
+
+def invariant_pieces(index) -> list[tuple[float, APolynomial]]:
+    """The closed form of I_index term by term: every nonzero raising-operator
+    image prod_p R_{p,k_p} d with its moment weight, so that
+    I_index = sum of weight * |image|^2 (see `invariants`)."""
+    bits = parse_index(index)
+    theta = sum(bits)
+    pieces = [(1.0, cumulant_poly(bits))]
+    for site, b in enumerate(bits, 1):
+        base = theta - 2 if b else theta
+        pieces = [
+            (weight / comb(base, k), poly.raised(site, k))
+            for weight, poly in pieces
+            for k in range(base + 1)
+        ]
+    return [(w, p) for w, p in pieces if p.terms]
 
 
 def mixed_invariant(rho: np.ndarray, index) -> float:
@@ -46,7 +66,7 @@ def mixed_invariant(rho: np.ndarray, index) -> float:
     if theta == 1:
         return float(np.trace(rho).real)
     total = 0j
-    for weight, poly in _compiled_invariant(bits):
+    for weight, poly in invariant_pieces(bits):
         coeffs, idx = poly.compiled()
         gathered = [
             [rho[np.ix_(idx[:, r], idx[:, s])] for s in range(theta)]
@@ -64,13 +84,9 @@ def mixed_invariant(rho: np.ndarray, index) -> float:
     return float(total.real)
 
 
-def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[float, float]:
-    """Both sides of the trace identity, which holds for one traced site.
-
-    Returns (I at psi of the index zero-padded over `trace_out`,
-    hatJ of the kept index at the reduced density matrix).
-    """
-    n = psi.n
+def padded_index(n: int, trace_out, kept_index) -> tuple[int, ...]:
+    """The index on all n sites that carries `kept_index` on the sites not
+    in `trace_out`, in order, and 0 on the traced sites."""
     traced = sorted(set(int(s) for s in trace_out))
     if traced and (traced[0] < 1 or traced[-1] > n):
         raise ValueError(f"traced sites {traced} outside 1..{n}")
@@ -83,10 +99,22 @@ def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[f
     full = [0] * n
     for site, b in zip(kept, kept_bits):
         full[site - 1] = b
-    i_val = cumulant_invariant(psi, tuple(full))
+    return tuple(full)
+
+
+def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[float, float]:
+    """Both sides of the trace identity, which holds for one traced site.
+
+    Returns (I at psi of the index zero-padded over `trace_out`,
+    hatJ of the kept index at the reduced density matrix).
+    """
+    full = padded_index(psi.n, trace_out, kept_index)
+    traced = set(int(s) for s in trace_out)
+    kept = [s for s in range(1, psi.n + 1) if s not in traced]
+    i_val = cumulant_invariant(psi, full)
     rho = density_matrix(psi)
     reduced = partial_trace(rho, kept) if traced else rho
-    return i_val, mixed_invariant(reduced, kept_bits)
+    return i_val, mixed_invariant(reduced, kept_index)
 
 
 def zhou_cumulant(rho: np.ndarray) -> np.ndarray:

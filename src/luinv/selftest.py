@@ -86,10 +86,6 @@ def _rel(x: AlgebraElement, y: AlgebraElement) -> float:
     return float(num / max(1.0, np.linalg.norm(y.coeffs)))
 
 
-def _idx_str(bits) -> str:
-    return "".join(str(b) for b in bits)
-
-
 def criterion_01_algebra_identities() -> CriterionResult:
     rng = np.random.default_rng(101)
     grid = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3)]

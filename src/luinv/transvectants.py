@@ -15,8 +15,9 @@ constant below is the literal one.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from math import factorial
+
+import numpy as np
 
 from .algebra import AlgebraElement
 from .cumulants import parse_index
@@ -212,7 +213,7 @@ def iota_chain(state: AlgebraElement, k: int) -> XPolynomial:
     return cov
 
 
-_EPS = ((0.0, 1.0), (-1.0, 0.0))
+_EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def hyperdeterminant(state: AlgebraElement) -> complex:
@@ -220,28 +221,16 @@ def hyperdeterminant(state: AlgebraElement) -> complex:
 
     Full epsilon contraction
     a_ijk a_i'j'm a_npk' a_n'p'm' e_ii' e_jj' e_kk' e_mm' e_nn' e_pp',
-    computed as a literal sum so it can serve as an independent check
+    computed as one literal einsum so it can serve as an independent check
     on the transvectant chain.
     """
     if state.n != 3 or state.d != 2:
         raise ValueError("hyperdeterminant is defined for three qubits")
     a = state.tensor()
-    total = 0.0 + 0.0j
-    for i1, i2, j1, j2, k1, k2, m1, m2, n1, n2, p1, p2 in iproduct(
-        range(2), repeat=12
-    ):
-        eps = (
-            _EPS[i1][i2]
-            * _EPS[j1][j2]
-            * _EPS[k1][k2]
-            * _EPS[m1][m2]
-            * _EPS[n1][n2]
-            * _EPS[p1][p2]
-        )
-        if eps == 0.0:
-            continue
-        total += eps * a[i1, j1, k1] * a[i2, j2, m1] * a[n1, p1, k2] * a[n2, p2, m2]
-    return total
+    e = _EPS
+    return complex(
+        np.einsum("ijk,IJm,npK,NPM,iI,jJ,kK,mM,nN,pP->", a, a, a, a, e, e, e, e, e, e)
+    )
 
 
 def three_tangle(state: AlgebraElement) -> float:

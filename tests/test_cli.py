@@ -271,6 +271,23 @@ class TestProcess:
             run.stderr.decode(),
         )
 
+    def test_six_qubits_end_to_end(self, tmp_path):
+        env = dict(os.environ)
+        rand, prod = tmp_path / "random6.json", tmp_path / "product6.json"
+        save_state(generate_state("random", 6, seed=61), rand)
+        save_state(generate_state("separable", 6, seed=62, partition="1,4|2,3,6|5"), prod)
+        luinv_cmd = [sys.executable, "-m", "luinv"]
+        run = subprocess.run(luinv_cmd + ["invariants", "--state", str(rand), "--all"],
+                             capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr.decode()
+        assert len(json.loads(run.stdout)["entries"]) == 58
+        run = subprocess.run(
+            luinv_cmd + ["separability", "--state", str(prod), "--partition", "1,4|2,3,6|5"],
+            capture_output=True, env=env,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert json.loads(run.stdout)["verdict"] == "separable"
+
     def test_import_does_not_load_scipy(self):
         probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         run = subprocess.run(

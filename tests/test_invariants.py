@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from luinv.algebra import AlgebraElement, apply_local
+from luinv import invariants
+from luinv.algebra import AlgebraElement, apply_local, permute_sites, tensor
+from luinv.cumulants import splitting_indices
 from luinv.haar import haar_su2
 from luinv.invariants import (
+    JACOBIAN_SV_RTOL,
     check_relations,
     cumulant_invariant,
+    cumulant_invariant_batch,
     gamma_factor,
     invariant_family,
     invariant_jacobian,
@@ -15,8 +20,12 @@ from luinv.invariants import (
     sudbery_j,
     total_invariant_count,
 )
+from luinv.mixed import invariant_pieces
 
 from conftest import gaussian_state
+
+# Deterministic examples, no example database written next to the tests.
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 def bell():
@@ -205,3 +214,181 @@ class TestJacobian:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             invariant_jacobian(gaussian_state(np.random.default_rng(8), 2), step=0.0)
+
+
+def literal_invariant(amps, bits) -> float:
+    """The closed form term by term: sum of weight * |image of d|^2."""
+    if sum(bits) == 1:
+        return float(np.vdot(amps, amps).real)
+    return sum(w * abs(poly.evaluate(amps)) ** 2 for w, poly in invariant_pieces(bits))
+
+
+def oracle_states(n):
+    """Random, GHZ, W (a_0 vanishes on grid points), basis and product states."""
+    rng = np.random.default_rng(40 + n)
+    out = [gaussian_state(rng, n).coeffs for _ in range(3)]
+    ghz = np.zeros(2**n, dtype=complex)
+    ghz[0] = ghz[-1] = 2**-0.5
+    w = np.zeros(2**n, dtype=complex)
+    w[[1 << k for k in range(n)]] = n**-0.5
+    out += [ghz, w]
+    for word in (0, 2**n - 1, 1, 2**n - 2):
+        basis = np.zeros(2**n, dtype=complex)
+        basis[word] = 1.0
+        out.append(basis)
+    product = gaussian_state(rng, 1)
+    for _ in range(n - 1):
+        product = tensor(product, gaussian_state(rng, 1))
+    out.append(product.coeffs)
+    out.append(tensor(gaussian_state(rng, 2), gaussian_state(rng, n - 2)).coeffs
+               if n > 2 else gaussian_state(rng, 2).coeffs)
+    return np.array(out)
+
+
+class TestGridEvaluator:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_literal_piece_sum(self, n):
+        batch = oracle_states(n)
+        for bits in invariant_family(n):
+            want = np.array([literal_invariant(a, bits) for a in batch])
+            got = cumulant_invariant_batch(batch, bits)
+            scale = np.maximum(np.abs(want), 1.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), bits
+            for a, value in zip(batch, got):
+                assert cumulant_invariant(a, bits) == pytest.approx(value, rel=1e-15, abs=1e-18)
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        # a tiny CHUNK splits both the states and the grid into many blocks
+        batch = oracle_states(4)
+        whole = {bits: cumulant_invariant_batch(batch, bits) for bits in invariant_family(4)}
+        monkeypatch.setattr(invariants, "CHUNK", 7)
+        for bits, want in whole.items():
+            got = cumulant_invariant_batch(batch, bits)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-16), bits
+
+    def test_batch_shape_checked(self):
+        with pytest.raises(ValueError):
+            cumulant_invariant_batch(np.ones((2, 4)), "111")
+        with pytest.raises(ValueError):
+            cumulant_invariant_batch(np.ones(8), "111")
+
+
+def _normalized(re_im):
+    c = np.asarray(re_im[0::2]) + 1j * np.asarray(re_im[1::2])
+    return c / np.linalg.norm(c)
+
+
+@st.composite
+def states(draw, min_n=2, max_n=4):
+    """A normalized n-qubit amplitude table with entries bounded away from overflow."""
+    n = draw(st.integers(min_n, max_n))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 ** (n + 1), max_size=2 ** (n + 1))
+                 .filter(lambda v: np.linalg.norm(v) > 0.1))
+    return n, _normalized(parts)
+
+
+def su2(parts):
+    u, v = _normalized(parts)
+    return np.array([[u, v], [-v.conjugate(), u.conjugate()]])
+
+
+class TestProperties:
+    @PROPERTY
+    @given(states(), st.data())
+    def test_local_unitary_invariance(self, state, data):
+        n, amps = state
+        quad = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+            lambda v: np.linalg.norm(v) > 0.1)
+        us = [su2(data.draw(quad)) for _ in range(n)]
+        psi = AlgebraElement(n, 2, amps)
+        rotated = apply_local(psi, us)
+        for bits in invariant_family(n):
+            a, b = cumulant_invariant(psi, bits), cumulant_invariant(rotated, bits)
+            assert abs(a - b) <= 1e-12 * max(1.0, a), bits
+
+    @PROPERTY
+    @given(states(), st.data())
+    def test_permutation_covariance(self, state, data):
+        n, amps = state
+        perm = tuple(data.draw(st.permutations(range(1, n + 1))))
+        psi = AlgebraElement(n, 2, amps)
+        moved_psi = permute_sites(psi, perm)
+        for bits in invariant_family(n):
+            moved = tuple(bits[perm[p] - 1] for p in range(n))
+            a, b = cumulant_invariant(psi, bits), cumulant_invariant(moved_psi, moved)
+            assert abs(a - b) <= 1e-12 * max(1.0, a), (bits, perm)
+
+    @PROPERTY
+    @given(states(), st.floats(0.1, 3.0), st.floats(0, 2 * np.pi))
+    def test_degree_homogeneity(self, state, modulus, phase):
+        n, amps = state
+        c = modulus * np.exp(1j * phase)
+        for bits in invariant_family(n):
+            theta = sum(bits)
+            want = modulus ** (2 * theta) * cumulant_invariant(amps, bits)
+            got = cumulant_invariant(c * amps, bits)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), bits
+
+    @PROPERTY
+    @given(st.integers(2, 5), st.data())
+    def test_splitting_indices_vanish_on_products(self, n, data):
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+                           .filter(lambda v: len(set(v)) >= 2))
+        blocks = [tuple(s for s in range(1, n + 1) if labels[s - 1] == lab)
+                  for lab in sorted(set(labels))]
+        t = np.ones(())
+        order = []
+        for block in blocks:
+            size = len(block)
+            parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 ** (size + 1),
+                                       max_size=2 ** (size + 1))
+                              .filter(lambda v: np.linalg.norm(v) > 0.1))
+            t = np.multiply.outer(t, _normalized(parts).reshape((2,) * size))
+            order += block
+        amps = t.transpose([order.index(s) for s in range(1, n + 1)]).reshape(-1)
+        for bits in splitting_indices(blocks, n):
+            assert cumulant_invariant(amps, bits) <= 1e-13, bits
+
+
+def loop_jacobian(psi, step=1e-5):
+    """The per-state central-difference loop, on the literal piece sum."""
+    amps = psi.coeffs
+    rows = []
+    for bits in invariant_family(psi.n):
+        grad = np.empty(2 * amps.size)
+        for j in range(amps.size):
+            for part, delta in ((0, step), (1, 1j * step)):
+                shifted = amps.copy()
+                shifted[j] += delta
+                up = literal_invariant(shifted, bits)
+                shifted[j] -= 2 * delta
+                down = literal_invariant(shifted, bits)
+                grad[2 * j + part] = (up - down) / (2 * step)
+        rows.append(grad)
+    return np.array(rows)
+
+
+def loop_rank(psi):
+    svals = np.linalg.svd(loop_jacobian(psi), compute_uv=False)
+    if svals[0] == 0.0:
+        return 0
+    return int(np.sum(svals > JACOBIAN_SV_RTOL * svals[0]))
+
+
+class TestBatchedJacobian:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_per_state_loop(self, n):
+        rng = np.random.default_rng(30 + n)
+        for psi in (gaussian_state(rng, n), gaussian_state(rng, n)):
+            want = loop_jacobian(psi)
+            got = invariant_jacobian(psi)
+            assert np.abs(got - want).max() <= 1e-9
+
+    def test_ranks_on_criterion_11_states(self):
+        # the states of acceptance criterion 11, drawn in its order
+        rng = np.random.default_rng(111)
+        states = [gaussian_state(rng, 3) for _ in range(10)]
+        states += [gaussian_state(rng, 2) for _ in range(3)]
+        states.append(AlgebraElement.from_terms(3, 2, {(0, 0, 0): 1.0}))
+        for psi in states:
+            assert jacobian_rank(psi) == loop_rank(psi)

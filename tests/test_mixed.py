@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from luinv.algebra import AlgebraElement, permute_sites, tensor
-from luinv.density import (
-    check_density,
-    density_matrix,
-    partial_trace,
-    sites_of,
-)
+from luinv.density import density_matrix, partial_trace, sites_of
 from luinv.haar import register_twirl_estimate
 from luinv.invariants import cumulant_invariant
 from luinv.mixed import lifted_invariant_pair, mixed_invariant, zhou_cumulant, zhou_m
@@ -25,6 +20,19 @@ def ghz3():
     c = np.zeros(8)
     c[0] = c[7] = 1 / np.sqrt(2)
     return AlgebraElement(3, 2, c)
+
+
+def check_density(rho, psd=False):
+    """Raise unless rho is Hermitian (and, with psd, positive) within tolerance."""
+    rho = np.asarray(rho)
+    sites_of(rho)
+    scale = max(float(np.abs(rho).max()), 1e-300)
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if psd:
+        evals = np.linalg.eigvalsh(rho)
+        if evals.min() < -1e-10 * max(scale, 1.0):
+            raise ValueError(f"matrix has negative eigenvalue {evals.min():.3e}")
 
 
 def brute_partial_trace(rho, keep, n):
