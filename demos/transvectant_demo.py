@@ -28,10 +28,11 @@ f = fundamental_form(psi)
 
 # one transvection at both sites of a two-qubit state gives 2 d_11; on
 # three qubits the third site keeps its variables, and the covariant's
-# x0^2 coefficient there is 2 d_110
+# x0^2 coefficient there is 2 d_110.  A covariant is an array with one
+# axis per site; entry j at a degree-k site multiplies x0^(k-j) x1^j.
 g = transvectant(f, f, (1, 1, 0))
-zero = (0, 0, 0, 0)
-print("(f,f)^110 coefficient of x0^2:", g.terms[(zero, zero, (2, 0, 0, 0))])
+print("(f,f)^110 site degrees:       ", [size - 1 for size in g.shape])
+print("(f,f)^110 coefficient of x0^2:", g[0, 0, 0])
 print("2 d_110:                      ", 2 * cumulant_poly("110").evaluate(psi))
 print()
 

@@ -166,11 +166,7 @@ class APolynomial:
 
     def evaluate(self, state) -> complex:
         """Value at a state (AlgebraElement with d=2, or a flat table)."""
-        amps = qubit_amps(state, self.n)
-        if not self.terms:
-            return 0.0 + 0.0j
-        coeffs, idx = self.compiled()
-        return complex(np.prod(amps[idx], axis=1) @ coeffs)
+        return complex(self.evaluate_batch(qubit_amps(state, self.n)[None])[0])
 
     def evaluate_batch(self, amps: np.ndarray) -> np.ndarray:
         """Values at a batch of amplitude tables, shape (samples, 2**n)."""

@@ -62,18 +62,24 @@ class CriterionResult:
 
 
 def _gaussian(rng, n, d=2):
+    """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
     return AlgebraElement(n, d, c / np.linalg.norm(c))
 
 
 def _anchored(rng, n, d=2):
-    # constant term bounded away from zero so log round trips stay tame
+    """Normalized random state whose constant term is bounded away from 0.
+
+    Log/cumulant round trips lose accuracy as a_{0...0} -> 0, so checks
+    of exact identities sample from the well-conditioned region.
+    """
     c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
     c[0] = (0.5 + abs(c[0])) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     return AlgebraElement(n, d, c / np.linalg.norm(c))
 
 
 def _tame(rng, n, d=2):
+    """Unit constant term plus a nilpotent part of two-norm <= 1."""
     r = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
     r[0] = 0.0
     r *= rng.uniform(0.2, 1.0) / np.linalg.norm(r)

@@ -53,6 +53,11 @@ def parse_partition(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(blocks, key=min))
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_state(path) -> AlgebraElement:
     """Read a state file, with diagnostics naming any offending field."""
     raw = Path(path).read_text()
@@ -67,7 +72,7 @@ def load_state(path) -> AlgebraElement:
             raise ValueError(f"{path}: missing field {field!r}")
     n = doc["n"]
     d = doc.get("d", 2)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"{path}: field 'n' must be a positive integer")
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"{path}: field 'd' must be an integer >= 2")
@@ -82,7 +87,7 @@ def load_state(path) -> AlgebraElement:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(_is_int(x) or isinstance(x, float) for x in pair)
         ):
             raise ValueError(
                 f"{path}: amplitudes[{k}] must be a [re, im] pair of numbers"

@@ -1,13 +1,16 @@
 """Covariants of qubit states as per-site binary forms.
 
-The fundamental form of a state carries its amplitudes as coefficients
-of per-site variables x0, x1.  New covariants are produced by Cayley's
-Omega process: relabel one factor to a second variable set y, multiply,
-apply Omega_i = dx0 dy1 - dx1 dy0 at selected sites, substitute y back
-to x.  The derivative inner product turns any covariant into an
-invariant; the chains built here reproduce the cumulant family up to
-fixed integer constants and supply the hyperdeterminant and the G and
-H families.
+A covariant is a complex array with one axis per site.  At a site of
+degree k the axis has length k + 1, and entry j is the coefficient of
+x0^(k-j) x1^j, so the fundamental form of a state is its amplitude
+tensor.  New covariants come from Cayley's Omega process: relabel the
+second factor to a variable set y, multiply, apply
+Omega_i = dx0 dy1 - dx1 dy0 at selected sites, substitute y back to x.
+Each site does this through one small integer map, and a transvectant
+is one einsum over both operands and the maps.  The derivative inner
+product turns any covariant into an invariant; the chains built here
+reproduce the cumulant family up to fixed integer constants and supply
+the hyperdeterminant and the G and H families.
 
 Omega is applied verbatim, with no binomial prefactor, so every family
 constant below is the literal one.
@@ -22,177 +25,58 @@ import numpy as np
 from .algebra import AlgebraElement
 from .cumulants import parse_index
 
-# Per-site exponent tuple layout: (x0, x1, y0, y1).
-_ZERO = (0, 0, 0, 0)
 
-
-def _check_homogeneous(n: int, terms: dict) -> None:
-    # every monomial must have one total degree per site
-    degrees = None
-    for key in terms:
-        this = tuple(sum(site) for site in key)
-        if degrees is None:
-            degrees = this
-        elif this != degrees:
-            raise ValueError(
-                f"inhomogeneous covariant: site degrees {this} vs {degrees}"
-            )
-
-
-class XPolynomial:
-    """Polynomial in per-site binary variables with complex coefficients.
-
-    Terms map a key (one 4-tuple of exponents per site) to a complex
-    coefficient.  Amplitude parts are already evaluated, so arithmetic
-    is purely numeric.  Instances are immutable by convention; all
-    operations return new polynomials.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        clean = {}
-        for key, coeff in terms.items():
-            if len(key) != n:
-                raise ValueError(f"term key {key} has {len(key)} sites, expected {n}")
-            if any(e < 0 for site in key for e in site):
-                raise ValueError("negative exponent")
-            if coeff != 0:
-                clean[key] = complex(coeff)
-        _check_homogeneous(n, clean)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPolynomial is immutable")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"XPolynomial(n={self.n}, {len(self.terms)} terms)"
-
-    def site_degrees(self) -> tuple[int, ...]:
-        """Total degree at each site (0 everywhere for a constant)."""
-        for key in self.terms:
-            return tuple(sum(site) for site in key)
-        return (0,) * self.n
-
-    def is_y_free(self) -> bool:
-        return all(
-            site[2] == 0 and site[3] == 0 for key in self.terms for site in key
-        )
-
-    def constant_value(self) -> complex:
-        """Value of a degree-0 covariant."""
-        if not self.terms:
-            return 0.0 + 0.0j
-        if any(any(site != _ZERO for site in key) for key in self.terms):
-            raise ValueError("covariant is not constant")
-        return self.terms[(_ZERO,) * self.n]
-
-    # -- algebra -------------------------------------------------------------
-
-    def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        if self.n != other.n:
-            raise ValueError("site counts differ")
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(
-                    (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-                    for a, b in zip(k1, k2)
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return XPolynomial(self.n, out)
-
-    def relabel_to_y(self) -> "XPolynomial":
-        """Move every x exponent to the matching y slot."""
-        if not self.is_y_free():
-            raise ValueError("polynomial already uses the y variables")
-        out = {
-            tuple((0, 0, site[0], site[1]) for site in key): c
-            for key, c in self.terms.items()
-        }
-        return XPolynomial(self.n, out)
-
-    def substitute_y(self) -> "XPolynomial":
-        """Set y -> x, merging exponents."""
-        out: dict = {}
-        for key, c in self.terms.items():
-            new = tuple(
-                (site[0] + site[2], site[1] + site[3], 0, 0) for site in key
-            )
-            out[new] = out.get(new, 0.0) + c
-        return XPolynomial(self.n, out)
-
-    def omega(self, site: int) -> "XPolynomial":
-        """Apply dx0 dy1 - dx1 dy0 at the given site (1-based)."""
-        if not 1 <= site <= self.n:
-            raise ValueError(f"site {site} out of range")
-        i = site - 1
-        out: dict = {}
-        for key, c in self.terms.items():
-            x0, x1, y0, y1 = key[i]
-            if x0 >= 1 and y1 >= 1:
-                new = key[:i] + ((x0 - 1, x1, y0, y1 - 1),) + key[i + 1 :]
-                out[new] = out.get(new, 0.0) + c * x0 * y1
-            if x1 >= 1 and y0 >= 1:
-                new = key[:i] + ((x0, x1 - 1, y0 - 1, y1),) + key[i + 1 :]
-                out[new] = out.get(new, 0.0) - c * x1 * y0
-        return XPolynomial(self.n, out)
-
-
-def fundamental_form(state: AlgebraElement) -> XPolynomial:
+def fundamental_form(state: AlgebraElement) -> np.ndarray:
     """Multilinear form with the state's amplitudes as coefficients."""
     if state.d != 2:
         raise ValueError("covariants are defined for qubit states only")
-    n = state.n
-    terms = {}
-    for flat, coeff in enumerate(state.coeffs):
-        if coeff == 0:
-            continue
-        digits = [(flat >> (n - 1 - k)) & 1 for k in range(n)]
-        key = tuple((1, 0, 0, 0) if dig == 0 else (0, 1, 0, 0) for dig in digits)
-        terms[key] = complex(coeff)
-    return XPolynomial(n, terms)
+    return state.tensor()
 
 
-def transvectant(p: XPolynomial, q: XPolynomial, mask) -> XPolynomial:
+def _site_map(k: int, l: int, omega: bool) -> np.ndarray:
+    """W[a, b, c]: weight of x^a y^b in x^c after Omega (if set) and y -> x.
+
+    Here x^a stands for x0^(k-a) x1^a.  Without Omega the map is the
+    plain product; with it, dx0 dy1 - dx1 dy0 sends x^a y^b to
+    ((k-a) b - a (l-b)) x^(a+b-1), and a degree-0 operand gives zero.
+    """
+    w = np.zeros((k + 1, l + 1, max(k + l + 1 - 2 * omega, 0)), dtype=int)
+    for a in range(k + 1):
+        for b in range(l + 1):
+            if not omega:
+                w[a, b, a + b] = 1
+            elif 0 < a + b < k + l:
+                w[a, b, a + b - 1] = (k - a) * b - a * (l - b)
+    return w
+
+
+def transvectant(p: np.ndarray, q: np.ndarray, mask) -> np.ndarray:
     """(p, q)^mask: Omega at every 1-site of mask, then y -> x."""
     bits = parse_index(mask)
-    if len(bits) != p.n or p.n != q.n:
+    n = len(bits)
+    if p.ndim != n or q.ndim != n:
         raise ValueError("mask and operands must share the site count")
-    work = p * q.relabel_to_y()
-    for site, bit in enumerate(bits, start=1):
-        if bit:
-            work = work.omega(site)
-    return work.substitute_y()
+    operands = [p, list(range(n)), q, list(range(n, 2 * n))]
+    for i, bit in enumerate(bits):
+        site = _site_map(p.shape[i] - 1, q.shape[i] - 1, bit)
+        operands += [site, [i, n + i, 2 * n + i]]
+    return np.einsum(*operands, list(range(2 * n, 3 * n)), optimize=True)
 
 
-def covariant_norm(p: XPolynomial) -> float:
+def covariant_norm(p: np.ndarray) -> float:
     """Derivative inner product of a covariant with itself.
 
-    Distinct monomials are orthogonal; a monomial pairs with itself
-    with weight prod_i x0_i! x1_i!.
+    Distinct monomials are orthogonal; x0^(k-j) x1^j pairs with itself
+    with weight j! (k-j)!, multiplied over the sites.
     """
-    if not p.is_y_free():
-        raise ValueError("norm is defined after the y substitution")
-    total = 0.0
-    for key, c in p.terms.items():
-        weight = 1.0
-        for x0, x1, _, _ in key:
-            weight *= float(factorial(x0) * factorial(x1))
-        total += weight * (c.real * c.real + c.imag * c.imag)
-    return total
+    weight = np.ones(())
+    for size in p.shape:
+        site = [float(factorial(j) * factorial(size - 1 - j)) for j in range(size)]
+        weight = np.multiply.outer(weight, site)
+    return float(np.sum(weight * (p.real * p.real + p.imag * p.imag)))
 
 
-def iota_chain(state: AlgebraElement, k: int) -> XPolynomial:
+def iota_chain(state: AlgebraElement, k: int) -> np.ndarray:
     """Nested transvectant whose norm is proportional to I_{1^k 0^(n-k)}.
 
     Starts from (f, f) at the first two sites and folds in one more
@@ -238,7 +122,7 @@ def three_tangle(state: AlgebraElement) -> float:
     return 2.0 * abs(hyperdeterminant(state))
 
 
-def g_covariant(state: AlgebraElement, index) -> XPolynomial:
+def g_covariant(state: AlgebraElement, index) -> np.ndarray:
     """(f, f)^index for an index with an even number of 1s (>= 2)."""
     bits = parse_index(index)
     ones = sum(bits)
@@ -250,7 +134,7 @@ def g_covariant(state: AlgebraElement, index) -> XPolynomial:
     return transvectant(f, f, bits)
 
 
-def h_covariant(state: AlgebraElement, index) -> XPolynomial:
+def h_covariant(state: AlgebraElement, index) -> np.ndarray:
     """Hyperdeterminant-family chain for an index with exactly three 2s.
 
     With 2-positions p < q < r the chain is

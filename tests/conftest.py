@@ -1,29 +1,7 @@
-import numpy as np
+"""State samplers shared with the acceptance battery in luinv.selftest."""
 
-from luinv.algebra import AlgebraElement
+from luinv.selftest import _anchored as anchored_state
+from luinv.selftest import _gaussian as gaussian_state
+from luinv.selftest import _tame as tame_element
 
-
-def gaussian_state(rng, n, d=2):
-    """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
-    c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    return AlgebraElement(n, d, c / np.linalg.norm(c))
-
-
-def anchored_state(rng, n, d=2):
-    """Normalized random state whose constant term is bounded away from 0.
-
-    Log/cumulant round trips lose accuracy as a_{0...0} -> 0, so tests of
-    exact identities sample from the well-conditioned region.
-    """
-    c = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    c[0] = (0.5 + abs(c[0])) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return AlgebraElement(n, d, c / np.linalg.norm(c))
-
-
-def tame_element(rng, n, d=2, max_nil_norm=1.0):
-    """Unit constant term plus a nilpotent part of two-norm <= max_nil_norm."""
-    r = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    r[0] = 0.0
-    r *= rng.uniform(0.2, 1.0) * max_nil_norm / np.linalg.norm(r)
-    r[0] = 1.0
-    return AlgebraElement(n, d, r)
+__all__ = ["anchored_state", "gaussian_state", "tame_element"]

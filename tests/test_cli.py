@@ -184,6 +184,13 @@ class TestUsageErrors:
         capsys.readouterr()
         assert code == 2 and doc is None
 
+    def test_boolean_site_count(self, tmp_path, capsys):
+        p = tmp_path / "bool.json"
+        p.write_text('{"n": true, "amplitudes": [[1, 0], [1, 0]]}')
+        code, doc = run_command(["invariants", "--state", str(p), "--all"])
+        assert code == 2 and doc is None
+        assert "'n'" in capsys.readouterr().err
+
     def test_norm_index_twirl_rejected(self, ghz_file, capsys):
         code, doc = run_command(["twirl", "--state", ghz_file, "--index", "100"])
         capsys.readouterr()

@@ -58,6 +58,9 @@ class TestFileFormat:
             ('{"n":1,"amplitudes":[[1,0],"x"]}', r"amplitudes\[1\]"),
             ('{"n":1,"amplitudes":[[1,0],[0,0,0]]}', r"amplitudes\[1\]"),
             ("[1,2]", "object"),
+            ('{"n":true,"amplitudes":[[1,0],[1,0]]}', "'n'"),
+            ('{"n":1,"amplitudes":[[true,0],[0,0]]}', r"amplitudes\[0\]"),
+            ('{"n":1,"amplitudes":[[1,0],[0,false]]}', r"amplitudes\[1\]"),
         ],
     )
     def test_diagnostics_name_offending_field(self, tmp_path, doc, field):

@@ -1,5 +1,6 @@
 """Covariant engine: transvectants, inner product, hyperdeterminant, families."""
 
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -10,7 +11,6 @@ from luinv.cumulants import cumulant_poly
 from luinv.haar import haar_su2
 from luinv.invariants import cumulant_invariant
 from luinv.transvectants import (
-    XPolynomial,
     covariant_norm,
     family_covariant,
     fundamental_form,
@@ -37,63 +37,147 @@ def w3():
     return AlgebraElement(3, 2, c)
 
 
+# -- literal Omega process, the oracle for the dense transvectant ------------
+
+
+def monomials(p):
+    """Dense covariant as {per-site (x0, x1) exponents: coefficient}."""
+    return {
+        tuple((size - 1 - j, j) for size, j in zip(p.shape, js)): complex(p[js])
+        for js in np.ndindex(p.shape)
+    }
+
+
+def literal_transvectant(p, q, bits):
+    """Multiply p(x) q(y), apply dx0 dy1 - dx1 dy0 at each 1-site, set y -> x."""
+    work = {}
+    for kp, cp in p.items():
+        for kq, cq in q.items():
+            key = tuple(a + b for a, b in zip(kp, kq))
+            work[key] = work.get(key, 0) + cp * cq
+    for i, bit in enumerate(bits):
+        if int(bit) == 0:
+            continue
+        out = {}
+        for key, c in work.items():
+            x0, x1, y0, y1 = key[i]
+            if x0 and y1:
+                new = key[:i] + ((x0 - 1, x1, y0, y1 - 1),) + key[i + 1 :]
+                out[new] = out.get(new, 0) + c * x0 * y1
+            if x1 and y0:
+                new = key[:i] + ((x0, x1 - 1, y0 - 1, y1),) + key[i + 1 :]
+                out[new] = out.get(new, 0) - c * x1 * y0
+        work = out
+    result = {}
+    for key, c in work.items():
+        new = tuple((x0 + y0, x1 + y1) for x0, x1, y0, y1 in key)
+        result[new] = result.get(new, 0) + c
+    return result
+
+
+def assert_matches_literal(p, q, bits):
+    got = monomials(transvectant(p, q, bits))
+    want = literal_transvectant(monomials(p), monomials(q), bits)
+    # a coefficient that cancels to zero is judged against its factors' size
+    scale = max([abs(c) for c in want.values()] + [np.abs(p).max() * np.abs(q).max()])
+    for key in set(got) | set(want):
+        err = abs(got.get(key, 0) - want.get(key, 0))
+        assert err <= 1e-12 * scale, (bits, key)
+
+
+class TestAgainstLiteralOmega:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_mask(self, n):
+        f = fundamental_form(gaussian_state(np.random.default_rng(20 + n), n))
+        for bits in product((0, 1), repeat=n):
+            assert_matches_literal(f, f, bits)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unequal_degrees(self, n):
+        # second step of a chain: operands of degree 1 and 0..2 per site
+        rng = np.random.default_rng(30 + n)
+        f = fundamental_form(gaussian_state(rng, n))
+        masks = list(product((0, 1), repeat=n))
+        for first in masks:
+            cov = transvectant(f, f, first)
+            for bits in masks[:: 1 if n < 4 else 5]:
+                assert_matches_literal(f, cov, bits)
+                assert_matches_literal(cov, f, bits)
+
+    def test_chain_steps(self):
+        # the iota and H chains at n = 4 reach operand degree 3
+        f = fundamental_form(gaussian_state(np.random.default_rng(35), 4))
+        for steps in (("1100", "0010", "0001"), ("1100", "0010", "1110")):
+            cov = transvectant(f, f, steps[0])
+            for bits in steps[1:]:
+                assert_matches_literal(f, cov, bits)
+                cov = transvectant(f, cov, bits)
+
+    def test_omega_at_degree_zero_site_is_zero(self):
+        f = fundamental_form(gaussian_state(np.random.default_rng(40), 3))
+        cov = transvectant(f, f, "110")  # degree 0 at sites 1 and 2
+        for bits in ("100", "010", "111"):
+            assert_matches_literal(f, cov, bits)
+            assert covariant_norm(transvectant(f, cov, bits)) == 0.0
+        assert covariant_norm(transvectant(cov, cov, "110")) == 0.0
+
+    def test_site_count_mismatch_rejected(self):
+        f = fundamental_form(AlgebraElement.one(2, 2))
+        with pytest.raises(ValueError):
+            transvectant(f, f, "110")
+
+
 class TestXPolynomial:
+    """The fundamental form and the dense covariant layout."""
+
     def test_fundamental_form_basis_state(self):
         ket00 = AlgebraElement.from_terms(2, 2, {(0, 0): 1.0})
         f = fundamental_form(ket00)
-        assert f.terms == {((1, 0, 0, 0), (1, 0, 0, 0)): 1.0 + 0.0j}
+        assert f.tolist() == [[1.0 + 0.0j, 0.0], [0.0, 0.0]]
 
     def test_fundamental_form_general(self):
         psi = gaussian_state(np.random.default_rng(0), 2)
         f = fundamental_form(psi)
-        key = ((0, 1, 0, 0), (1, 0, 0, 0))  # x1 at site 1, x0 at site 2
-        assert f.terms[key] == pytest.approx(psi[(1, 0)])
+        # x1 at site 1, x0 at site 2
+        assert f[1, 0] == pytest.approx(psi[(1, 0)])
 
     def test_fundamental_form_rejects_qutrits(self):
         with pytest.raises(ValueError):
             fundamental_form(AlgebraElement.one(2, 3))
 
-    def test_homogeneity_enforced(self):
-        with pytest.raises(ValueError):
-            XPolynomial(
-                1, {((1, 0, 0, 0),): 1.0, ((2, 0, 0, 0),): 1.0}
-            )
-
     def test_immutable(self):
+        # the form is a view of the state's amplitudes, so it is read-only
         f = fundamental_form(AlgebraElement.one(1, 2))
-        with pytest.raises(AttributeError):
-            f.n = 3
+        with pytest.raises(ValueError):
+            f[0] = 3.0
 
     def test_zero_mask_is_plain_product(self):
         psi = gaussian_state(np.random.default_rng(1), 2)
         f = fundamental_form(psi)
         prod = transvectant(f, f, "00")
-        direct = (f * f.relabel_to_y()).substitute_y()
-        assert prod == direct
+        direct = np.zeros((3, 3), dtype=complex)
+        for a1, a2, b1, b2 in product((0, 1), repeat=4):
+            direct[a1 + b1, a2 + b2] += f[a1, a2] * f[b1, b2]
+        assert prod == pytest.approx(direct, abs=1e-15)
 
     def test_constant_value_rejects_nonconstant(self):
         f = fundamental_form(AlgebraElement.one(1, 2))
         with pytest.raises(ValueError):
-            f.constant_value()
+            f.item()
 
 
 class TestInnerProduct:
     def test_constant(self):
-        p = XPolynomial(1, {((0, 0, 0, 0),): 3.0 - 4.0j})
+        p = np.array([3.0 - 4.0j])
         assert covariant_norm(p) == pytest.approx(25.0)
 
     def test_mixed_exponents(self):
-        p = XPolynomial(1, {((1, 1, 0, 0),): 2.0})
+        p = np.array([0.0, 2.0, 0.0])  # x0 x1
         assert covariant_norm(p) == pytest.approx(4.0)  # 1! 1! weight
 
     def test_square_exponent(self):
-        p = XPolynomial(1, {((2, 0, 0, 0),): 1.0 + 1.0j})
+        p = np.array([1.0 + 1.0j, 0.0, 0.0])  # x0^2
         assert covariant_norm(p) == pytest.approx(4.0)  # 2! 0! weight
-
-    def test_requires_y_free(self):
-        p = XPolynomial(1, {((0, 0, 1, 0),): 1.0})
-        with pytest.raises(ValueError):
-            covariant_norm(p)
 
 
 class TestTransvectant:
@@ -104,7 +188,7 @@ class TestTransvectant:
             f = fundamental_form(psi)
             p = transvectant(f, f, "11")
             d11 = cumulant_poly("11").evaluate(psi)
-            assert p.constant_value() == pytest.approx(2 * d11, abs=1e-14)
+            assert p.item() == pytest.approx(2 * d11, abs=1e-14)
 
     def test_ff110_multiplet_structure(self):
         # (f,f)^{110} lays out d110 and its raised images as the
@@ -114,15 +198,15 @@ class TestTransvectant:
         f = fundamental_form(psi)
         p = transvectant(f, f, "110")
         d = cumulant_poly("110")
-        zero = (0, 0, 0, 0)
-        expected = {
-            (zero, zero, (2, 0, 0, 0)): 2 * d.evaluate(psi),
-            (zero, zero, (1, 1, 0, 0)): 2 * d.raised(3, 1).evaluate(psi),
-            (zero, zero, (0, 2, 0, 0)): 2 * d.raised(3, 2).evaluate(psi),
-        }
-        assert set(p.terms) == set(expected)
-        for key, val in expected.items():
-            assert p.terms[key] == pytest.approx(val, abs=1e-12)
+        # entry j at site 3 is the coefficient of x0^(2-j) x1^j
+        expected = [
+            2 * d.evaluate(psi),
+            2 * d.raised(3, 1).evaluate(psi),
+            2 * d.raised(3, 2).evaluate(psi),
+        ]
+        assert p.shape == (1, 1, 3)
+        for j, val in enumerate(expected):
+            assert p[0, 0, j] == pytest.approx(val, abs=1e-12)
 
     def test_g_full_mask_pairing_identity(self):
         # (f,f)^{1^n} = sum_u (-1)^{|u|} a_u a_{complement(u)}
@@ -130,7 +214,7 @@ class TestTransvectant:
         for n in (2, 4):
             psi = gaussian_state(rng, n)
             f = fundamental_form(psi)
-            val = transvectant(f, f, "1" * n).constant_value()
+            val = transvectant(f, f, "1" * n).item()
             acc = 0.0
             top = 2**n - 1
             for u in range(2**n):
@@ -156,7 +240,7 @@ class TestIotaChain:
         psi = gaussian_state(np.random.default_rng(7), 2)
         iota = iota_chain(psi, 2)
         d11 = cumulant_poly("11").evaluate(psi)
-        assert iota.constant_value() == pytest.approx(2 * d11, abs=1e-13)
+        assert iota.item() == pytest.approx(2 * d11, abs=1e-13)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
     def test_xi_ratio(self, n, k):
@@ -218,7 +302,7 @@ class TestFamilies:
         # literal (f,f)^{1111} is twice the eight-term display
         rng = np.random.default_rng(9)
         psi = gaussian_state(rng, 4)
-        g = g_covariant(psi, "1111").constant_value()
+        g = g_covariant(psi, "1111").item()
         a = psi.coeffs
         display = (
             a[0b0000] * a[0b1111]
