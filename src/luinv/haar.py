@@ -3,12 +3,27 @@
 The estimator draws one SU(2) per site per sample, rotates the
 amplitude table, evaluates the cumulant polynomial d, and averages
 gamma * |d|^2.  It is the ground truth the closed-form invariants are
-checked against; the two share nothing beyond the polynomial d itself.
+checked against; the two share nothing beyond the polynomial d itself
+and the kernel that evaluates it.
+
+d's factor words have digit 0 at every 0-site of the index, so only the
+digit-0 row of a 0-site's rotation reaches d.  Each chunk of samples
+therefore projects first: a 0-site with first row (u, v) maps the
+digit pair (a0, a1) to u a0 + v a1 and halves the table.  The 1-sites
+are then rotated in full by broadcast multiply-adds, leaving the 2^theta
+support table, on which d is evaluated by `invariants.evaluate_d`, the
+same kernel the closed-form grid uses.  The SU(2)s are still drawn in
+site order, one per site per chunk, so the RNG stream for a given
+(seed, samples) is that of the full rotation.  The mean and the sum of
+squared deviations are kept per chunk and combined chunk by chunk
+(Chan, Golub & LeVeque 1979), so memory does not grow with `samples`;
+MAX_SAMPLES bounds the time instead.
 
 The register twirl is the oracle for the mixed lift through a partial
 trace: the kept sites get independent SU(2)s and the traced sites,
 taken together as one register of dimension D = 2^k, get one Haar
-unitary of U(D).
+unitary of U(D).  The register is all 0-sites of d, so only row 0 of
+that unitary is applied.
 """
 
 from __future__ import annotations
@@ -18,12 +33,16 @@ from math import comb, prod, sqrt
 
 import numpy as np
 
-from .cumulants import cumulant_poly, parse_index, qubit_amps
-from .invariants import gamma_factor
+from .cumulants import parse_index, qubit_amps
+from .invariants import evaluate_d, gamma_factor
 
 # Samples are processed in fixed-size chunks; the RNG stream, and hence
 # the estimate for a given (seed, samples), does not depend on anything else.
 CHUNK = 20_000
+
+# Largest number of samples one twirl accepts.  Memory no longer bounds a
+# request, so this bounds its time instead.
+MAX_SAMPLES = 10**9
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -36,12 +55,19 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     return haar_su2_batch(rng, 1)[0]
 
 
+def haar_su2_rows(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """First rows (u, v) of `size` independent Haar SU(2) matrices, each
+    [[u, v], [-conj(v), conj(u)]]: (u, v) uniform on the unit sphere of C^2."""
+    z = rng.standard_normal((size, 4))
+    sq = z * z
+    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    uv = z.view(complex) / norm[:, None]  # columns z0 + i z1 and z2 + i z3
+    return uv[:, 0], uv[:, 1]
+
+
 def haar_su2_batch(rng: np.random.Generator, size: int) -> np.ndarray:
     """A (size, 2, 2) batch of independent Haar SU(2) matrices."""
-    z = rng.standard_normal((size, 4))
-    norm = np.sqrt((z**2).sum(axis=1))
-    u = (z[:, 0] + 1j * z[:, 1]) / norm
-    v = (z[:, 2] + 1j * z[:, 3]) / norm
+    u, v = haar_su2_rows(rng, size)
     out = np.empty((size, 2, 2), dtype=complex)
     out[:, 0, 0] = u
     out[:, 0, 1] = v
@@ -59,15 +85,6 @@ def haar_unitary_batch(rng: np.random.Generator, size: int, dim: int) -> np.ndar
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _rotate_batch(amps: np.ndarray, site: int, n: int, gs: np.ndarray) -> np.ndarray:
-    """Apply per-sample 2x2 matrices at one site of a (samples, 2**n) batch."""
-    b = amps.shape[0]
-    left = 2 ** (site - 1)
-    right = 2 ** (n - site)
-    a = amps.reshape(b, left, 2, right)
-    return np.einsum("sjk,slkr->sljr", gs, a).reshape(b, 2**n)
-
-
 @dataclass(frozen=True)
 class TwirlEstimate:
     mean: float
@@ -78,30 +95,58 @@ class TwirlEstimate:
 
 def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
     """Average gamma * |d_bits|^2 over an SU(2) on each of the first
-    n - register sites and one U(2^register) on the remaining sites."""
+    n - register sites and one U(2^register) on the remaining sites,
+    which must be 0-sites of `bits`."""
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"samples = {samples} exceeds the cap of {MAX_SAMPLES} (haar.MAX_SAMPLES)"
+        )
     n = len(bits)
     free = n - register
-    d = cumulant_poly(bits)
+    # 0-sites latest first, so the sites before each keep their axes.
+    zeros = [p for p in range(free, 0, -1) if not bits[p - 1]]
+    ones = [p for p in range(1, free + 1) if bits[p - 1]]
     rng = _rng_for(seed)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
+    count, mean, m2 = 0, 0.0, 0.0
+    for done in range(0, samples, CHUNK):
         b = min(CHUNK, samples - done)
-        rotated = np.broadcast_to(amps, (b, amps.size)).copy()
-        for site in range(1, free + 1):
-            rotated = _rotate_batch(rotated, site, n, haar_su2_batch(rng, b))
+        rows = [haar_su2_rows(rng, b) for _ in range(free)]
+        # Axes of t: the sites, site 1 first, then the sample, of length 1
+        # until a rotation broadcasts it.
         if register:
-            us = haar_unitary_batch(rng, b, 2**register)
-            rotated = np.einsum(
-                "sjk,smk->smj", us, rotated.reshape(b, 2**free, 2**register)
-            ).reshape(b, 2**n)
-        vals[done : done + b] = np.abs(d.evaluate_batch(rotated)) ** 2
-        done += b
-    mean = gamma * float(vals.mean())
-    sem = gamma * float(vals.std(ddof=1)) / sqrt(samples)
-    return TwirlEstimate(mean=mean, std_error=sem, samples=samples, seed=int(seed))
+            row0 = haar_unitary_batch(rng, b, 2**register)[:, 0, :]
+            t = amps.reshape((2,) * free + (2**register,)) @ row0.T
+        else:
+            t = amps.reshape((2,) * n + (1,))
+        for p in zeros:
+            u, v = rows[p - 1]
+            at = (slice(None),) * (p - 1)
+            t = u * t[at + (0,)] + v * t[at + (1,)]
+        # Now the axes are the support sites; each rotated 1-site moves to
+        # the front, so the first support site ends least significant.
+        for i, p in enumerate(ones):
+            u, v = rows[p - 1]
+            at = (slice(None),) * i
+            a0, a1 = t[at + (0,)], t[at + (1,)]
+            t = np.empty((2,) + a0.shape[:-1] + (b,), dtype=complex)
+            np.multiply(a0, u, out=t[0])
+            t[0] += v * a1
+            np.multiply(a1, u.conj(), out=t[1])
+            t[1] -= v.conj() * a0
+        d = evaluate_d(t.reshape(2 ** len(ones), b), bits)
+        vals = d.real**2 + d.imag**2
+        chunk_mean = vals.mean()
+        delta = chunk_mean - mean
+        total = count + b
+        mean += delta * b / total
+        m2 += ((vals - chunk_mean) ** 2).sum() + delta**2 * count * b / total
+        count = total
+    sem = gamma * sqrt(m2 / (samples - 1)) / sqrt(samples)
+    return TwirlEstimate(
+        mean=gamma * float(mean), std_error=sem, samples=samples, seed=int(seed)
+    )
 
 
 def twirl_estimate(state, index, samples: int = 100_000, seed: int = 0) -> TwirlEstimate:
@@ -162,8 +207,7 @@ def moment_battery(samples: int = 100_000, seed: int = 0, max_total: int = 6):
     zero otherwise.  Returns rows (a, b, c, e, estimate, expected,
     std_error).
     """
-    gs = haar_su2_batch(_rng_for(seed), samples)
-    u, v = gs[:, 0, 0], gs[:, 0, 1]
+    u, v = haar_su2_rows(_rng_for(seed), samples)
     pows = {}
     for name, arr in (("u", u), ("ub", u.conj()), ("v", v), ("vb", v.conj())):
         p = np.ones_like(u)

@@ -23,7 +23,9 @@ a_{0..0} can vanish on grid points (for W, 1 + w + w^2 = 0).  The norm
 index (theta = 1) is handled separately: I = <psi|psi>.
 
 One evaluator serves every caller: it takes a batch of amplitude tables,
-so the Jacobian makes one call per index for all its shifted states.
+so the Jacobian makes one call per index for all its shifted states.  Its
+kernel for d on the 2^theta support table, `evaluate_d`, also serves the
+Monte-Carlo twirl in `haar`.
 """
 
 from __future__ import annotations
@@ -61,13 +63,39 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _grid_plan(bits: tuple[int, ...]):
-    """Axis lengths, roots of unity, moment weights and d for one index.
+def _d_plan(bits: tuple[int, ...]):
+    """d's coefficients and factor words for one index.
 
     d's factor words have digit 0 off the support, so they are renumbered
     over the support digits alone, the first support site least significant.
     """
     n = len(bits)
+    coeffs, idx = cumulant_poly(bits).compiled()
+    local = sum(((idx >> (n - site)) & 1) << i for i, site in enumerate(support(bits)))
+    return _frozen(coeffs.reshape(-1, 1)), _frozen(local)
+
+
+def evaluate_d(table: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    """d_bits at every column of a (2**theta, m) support table.
+
+    Row r of the table holds the amplitude whose support digits spell r,
+    the first support site least significant, and digit 0 off the support.
+    The product over d's factors runs over at most CHUNK columns at a time.
+    """
+    coeffs, local = _d_plan(bits)
+    out = np.empty(table.shape[1], dtype=complex)
+    for c0 in range(0, table.shape[1], CHUNK):
+        part = table[:, c0 : c0 + CHUNK]
+        h = part[local[:, 0]] * coeffs
+        for r in range(1, local.shape[1]):
+            h *= part[local[:, r]]
+        out[c0 : c0 + CHUNK] = h.sum(axis=0)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _grid_plan(bits: tuple[int, ...]):
+    """Axis lengths, roots of unity and moment weights for one index."""
     theta = sum(bits)
     lengths = tuple(theta - 1 if b else theta + 1 for b in bits)
     roots = tuple(_frozen(np.exp(2j * np.pi * np.arange(m) / m)) for m in lengths)
@@ -75,15 +103,12 @@ def _grid_plan(bits: tuple[int, ...]):
     for b, m in zip(bits, lengths):
         base = theta - 2 if b else theta
         weights = np.multiply.outer(weights, [1.0 / comb(base, k) for k in range(m)])
-    coeffs, idx = cumulant_poly(bits).compiled()
-    local = sum(((idx >> (n - site)) & 1) << i for i, site in enumerate(support(bits)))
-    return (lengths, roots, _frozen(weights.reshape(-1)),
-            _frozen(coeffs.reshape(-1, 1)), _frozen(local))
+    return lengths, roots, _frozen(weights.reshape(-1))
 
 
 def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
     """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
-    lengths, roots, weights, coeffs, local = _grid_plan(bits)
+    lengths, roots, weights = _grid_plan(bits)
     n, theta, points = len(bits), sum(bits), prod(lengths)
     out = np.empty(amps.shape[0])
     per = max(1, CHUNK // points)
@@ -101,14 +126,7 @@ def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
                 raised = np.stack((raised, np.broadcast_to(hi, raised.shape)))
                 digits += 1
             t = raised
-        table = t.reshape(2**theta, -1)
-        samples = np.empty(table.shape[1], dtype=complex)
-        for c0 in range(0, table.shape[1], CHUNK):
-            part = table[:, c0 : c0 + CHUNK]
-            h = part[local[:, 0]] * coeffs
-            for r in range(1, theta):
-                h *= part[local[:, r]]
-            samples[c0 : c0 + CHUNK] = h.sum(axis=0)
+        samples = evaluate_d(t.reshape(2**theta, -1), bits)
         c = np.fft.fftn(samples.reshape((-1,) + lengths), axes=range(1, n + 1)) / points
         sq = (c.real**2 + c.imag**2).reshape(c.shape[0], -1)
         out[s0 : s0 + per] = (sq * weights).sum(axis=1)

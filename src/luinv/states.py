@@ -5,8 +5,8 @@ The on-disk format is JSON:
     {"n": 3, "d": 2, "amplitudes": [[re, im], ...]}
 
 with d^n amplitude pairs in big-endian site order (site 1 most
-significant).  Floats round-trip exactly through repr, so write
-followed by parse is the identity.
+significant), at most MAX_AMPLITUDES of them.  Floats round-trip exactly
+through repr, so write followed by parse is the identity.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ import numpy as np
 from .algebra import AlgebraElement, permute_sites, tensor
 
 STATE_KINDS = ("random", "bell", "ghz", "w", "separable")
+
+# Largest amplitude table d**n a state file may declare, checked before
+# d**n is computed; its JSON text alone would take about a gigabyte.
+MAX_AMPLITUDES = 2**24
 
 
 def parse_partition(text: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -76,13 +80,24 @@ def load_state(path) -> AlgebraElement:
         raise ValueError(f"{path}: field 'n' must be a positive integer")
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"{path}: field 'd' must be an integer >= 2")
+    if d > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{path}: field 'd' = {d} exceeds the cap of {MAX_AMPLITUDES} amplitudes"
+        )
+    # d >= 2, so an n past the cap's bit length exceeds it without d**n
+    if n >= MAX_AMPLITUDES.bit_length() or d**n > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{path}: field 'n' = {n} gives more than {MAX_AMPLITUDES} "
+            f"amplitudes at d = {d}"
+        )
+    size = d**n
     amps = doc["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != d**n:
+    if not isinstance(amps, list) or len(amps) != size:
         have = len(amps) if isinstance(amps, list) else "non-list"
         raise ValueError(
-            f"{path}: field 'amplitudes' must list {d**n} (re, im) pairs, got {have}"
+            f"{path}: field 'amplitudes' must list {size} (re, im) pairs, got {have}"
         )
-    coeffs = np.empty(d**n, dtype=complex)
+    coeffs = np.empty(size, dtype=complex)
     for k, pair in enumerate(amps):
         if (
             not isinstance(pair, list)
@@ -92,7 +107,12 @@ def load_state(path) -> AlgebraElement:
             raise ValueError(
                 f"{path}: amplitudes[{k}] must be a [re, im] pair of numbers"
             )
-        coeffs[k] = complex(pair[0], pair[1])
+        try:
+            coeffs[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(
+                f"{path}: amplitudes[{k}] is outside floating-point range"
+            ) from None
     return AlgebraElement(n, d, coeffs)
 
 

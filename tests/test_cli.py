@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import luinv
 from luinv import cli
 from luinv.algebra import permute_sites, tensor
 from luinv.cli import run_command
+from luinv.haar import MAX_SAMPLES
 from luinv.report import make_entry, make_report, render_report
-from luinv.states import generate_state, save_state
+from luinv.states import MAX_AMPLITUDES, generate_state, save_state
 
 
 @pytest.fixture
@@ -191,6 +193,27 @@ class TestUsageErrors:
         assert code == 2 and doc is None
         assert "'n'" in capsys.readouterr().err
 
+    def test_amplitude_beyond_float_range(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text('{"n": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 500))
+        code, doc = run_command(["invariants", "--state", str(p), "--all"])
+        assert code == 2 and doc is None
+        assert "amplitudes[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [('{"n": 100000, "amplitudes": []}', "'n'"),
+         ('{"n": 30, "d": 3, "amplitudes": []}', "'n'"),
+         ('{"n": 1, "d": %d, "amplitudes": []}' % 10**30, "'d'")],
+    )
+    def test_table_size_cap(self, tmp_path, capsys, text, field):
+        p = tmp_path / "big.json"
+        p.write_text(text)
+        code, doc = run_command(["invariants", "--state", str(p), "--all"])
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert field in err and str(MAX_AMPLITUDES) in err
+
     def test_norm_index_twirl_rejected(self, ghz_file, capsys):
         code, doc = run_command(["twirl", "--state", ghz_file, "--index", "100"])
         capsys.readouterr()
@@ -294,6 +317,20 @@ class TestProcess:
         )
         assert run.returncode == 0, run.stderr.decode()
         assert json.loads(run.stdout)["verdict"] == "separable"
+
+    def test_sample_cap_refused_at_once(self, ghz_file):
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "luinv", "twirl", "--state", ghz_file,
+             "--index", "111", "--samples", "1000000000000"],
+            capture_output=True, env=dict(os.environ), timeout=60,
+        )
+        assert time.monotonic() - start < 5
+        assert run.returncode == 2 and run.stdout == b""
+        assert run.stderr.decode() == (
+            f"error: samples = 1000000000000 exceeds the cap of {MAX_SAMPLES} "
+            "(haar.MAX_SAMPLES)\n"
+        )
 
     def test_import_does_not_load_scipy(self):
         probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

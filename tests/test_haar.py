@@ -1,18 +1,24 @@
 """Haar sampling, moment battery, and the twirl estimator."""
 
+from math import comb, prod, sqrt
+
 import numpy as np
 import pytest
 
-from luinv.algebra import AlgebraElement
+from luinv.cumulants import cumulant_poly, index_str, parse_index
 from luinv.haar import (
     CHUNK,
     TwirlEstimate,
+    _rng_for,
     haar_su2,
     haar_su2_batch,
+    haar_su2_rows,
+    haar_unitary_batch,
     moment_battery,
+    register_twirl_estimate,
     twirl_estimate,
 )
-from luinv.invariants import cumulant_invariant
+from luinv.invariants import cumulant_invariant, gamma_factor, invariant_family
 
 from conftest import gaussian_state
 
@@ -30,6 +36,13 @@ class TestSampling:
         assert gs.shape == (1000, 2, 2)
         assert np.allclose(gs[:, 1, 0], -gs[:, 0, 1].conj())
         assert np.allclose(gs[:, 1, 1], gs[:, 0, 0].conj())
+
+    def test_batch_is_built_from_rows(self):
+        u, v = haar_su2_rows(np.random.Generator(np.random.Philox(key=5)), 1000)
+        gs = haar_su2_batch(np.random.Generator(np.random.Philox(key=5)), 1000)
+        assert np.array_equal(gs[:, 0, 0], u) and np.array_equal(gs[:, 0, 1], v)
+        assert np.array_equal(gs[:, 1, 0], -v.conj())
+        assert np.array_equal(gs[:, 1, 1], u.conj())
 
     def test_seeded_reproducibility(self):
         a = haar_su2_batch(np.random.Generator(np.random.Philox(key=7)), 10)
@@ -83,12 +96,6 @@ class TestTwirl:
         b = twirl_estimate(psi, "111", samples=30_000, seed=9)
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_chunking_invariant(self):
-        # estimates must not depend on how samples split into chunks
-        psi = gaussian_state(np.random.default_rng(10), 2)
-        whole = twirl_estimate(psi, "11", samples=CHUNK + 123, seed=11)
-        assert whole.samples == CHUNK + 123
-
     def test_theta_below_two_rejected(self):
         psi = gaussian_state(np.random.default_rng(12), 2)
         with pytest.raises(ValueError):
@@ -98,3 +105,86 @@ class TestTwirl:
         psi = gaussian_state(np.random.default_rng(13), 2)
         with pytest.raises(ValueError):
             twirl_estimate(psi, "11", samples=1, seed=0)
+
+
+def _rotate_batch(amps, site, n, gs):
+    """Apply per-sample 2x2 matrices at one site of a (samples, 2**n) batch."""
+    b = amps.shape[0]
+    a = amps.reshape(b, 2 ** (site - 1), 2, 2 ** (n - site))
+    return np.einsum("sjk,slkr->sljr", gs, a).reshape(b, 2**n)
+
+
+def literal_twirl(amps, bits, gamma, samples, seed, register=0):
+    """The twirl as defined: rotate the whole table, one einsum per site and
+    the full U(2^register), evaluate d term by term, keep every sample."""
+    n = len(bits)
+    free = n - register
+    d = cumulant_poly(bits)
+    rng = _rng_for(seed)
+    vals = np.empty(samples)
+    done = 0
+    while done < samples:
+        b = min(CHUNK, samples - done)
+        rotated = np.broadcast_to(amps, (b, amps.size)).copy()
+        for site in range(1, free + 1):
+            rotated = _rotate_batch(rotated, site, n, haar_su2_batch(rng, b))
+        if register:
+            us = haar_unitary_batch(rng, b, 2**register)
+            rotated = np.einsum(
+                "sjk,smk->smj", us, rotated.reshape(b, 2**free, 2**register)
+            ).reshape(b, 2**n)
+        vals[done : done + b] = np.abs(d.evaluate_batch(rotated)) ** 2
+        done += b
+    return gamma * vals.mean(), gamma * vals.std(ddof=1) / sqrt(samples)
+
+
+def _register_oracle(psi, traced, kept, samples, seed):
+    # the reordering and scale of register_twirl_estimate, stated again
+    kept_bits = parse_index(kept)
+    theta, k = sum(kept_bits), len(traced)
+    n = len(kept_bits) + k
+    order = [s - 1 for s in range(1, n + 1) if s not in traced] + [s - 1 for s in traced]
+    amps = psi.coeffs.reshape((2,) * n).transpose(order).reshape(-1)
+    gamma = prod(theta + 1 if b == 0 else theta - 1 for b in kept_bits)
+    gamma *= comb(2**k + theta - 1, theta)
+    return literal_twirl(amps, kept_bits + (0,) * k, gamma, samples, seed, k)
+
+
+SAMPLES = CHUNK + 123  # a partial last chunk goes through the combine
+
+
+def _close(new, old, absolute=False):
+    return abs(new - old) <= 1e-12 * (1.0 if absolute else abs(old))
+
+
+class TestAgainstLiteralTwirl:
+    """Projection, the shared d kernel and streamed statistics against the
+    full rotation, on the same draws."""
+
+    @pytest.mark.parametrize(
+        "bits", [b for n in (2, 3, 4) for b in invariant_family(n)[1:]], ids=index_str
+    )
+    def test_site_twirl(self, bits):
+        n = len(bits)
+        psi = gaussian_state(np.random.default_rng(20 + n), n)
+        seed = 30 + int("".join(map(str, bits)), 2)
+        est = twirl_estimate(psi, bits, samples=SAMPLES, seed=seed)
+        mean, se = literal_twirl(psi.coeffs, bits, gamma_factor(n, sum(bits)), SAMPLES, seed)
+        # for two sites |d|^2 does not vary, so its SE is roundoff
+        flat = bits == (1, 1)
+        assert _close(est.mean, mean)
+        assert _close(est.std_error, se, absolute=flat)
+        assert est.samples == SAMPLES
+
+    @pytest.mark.parametrize(
+        "n,traced,kept",
+        [(3, (1,), "11"), (3, (2,), "11"), (3, (3,), "11"),
+         (4, (4,), "111"), (4, (2,), "110"), (4, (1,), "101"), (4, (3,), "011"),
+         (4, (1, 2), "11"), (4, (2, 4), "11"), (4, (1, 3), "11")],
+    )
+    def test_register_twirl(self, n, traced, kept):
+        psi = gaussian_state(np.random.default_rng(40 + n), n)
+        seed = 50 + sum(traced)
+        est = register_twirl_estimate(psi, traced, kept, samples=SAMPLES, seed=seed)
+        mean, se = _register_oracle(psi, traced, kept, SAMPLES, seed)
+        assert _close(est.mean, mean) and _close(est.std_error, se)
