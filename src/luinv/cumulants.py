@@ -134,24 +134,6 @@ class APolynomial:
     def degree(self) -> int:
         return len(next(iter(self.terms))) if self.terms else 0
 
-    def __add__(self, other: "APolynomial") -> "APolynomial":
-        if self.n != other.n:
-            raise ValueError("site count mismatch")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0) + c
-        return APolynomial(self.n, merged)
-
-    def __mul__(self, scalar) -> "APolynomial":
-        return APolynomial(
-            self.n, {k: c * complex(scalar) for k, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "APolynomial") -> "APolynomial":
-        return self + (-1) * other
-
     def __repr__(self) -> str:
         return f"APolynomial(n={self.n}, terms={len(self.terms)}, degree={self.degree})"
 

@@ -1,4 +1,5 @@
-"""Density matrices of qubit registers: outer products and partial traces."""
+"""Density matrices of qubit registers: outer products, reduced states of
+pure states, and partial traces."""
 
 from __future__ import annotations
 
@@ -20,15 +21,40 @@ def sites_of(rho: np.ndarray) -> int:
     return n
 
 
-def density_matrix(psi) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| of a pure qubit state."""
+def _amplitudes(psi) -> np.ndarray:
     if isinstance(psi, AlgebraElement):
         if psi.d != 2:
             raise ValueError("density matrices here are for qubit registers")
-        amps = psi.coeffs
-    else:
-        amps = np.asarray(psi, dtype=complex).reshape(-1)
+        return psi.coeffs
+    return np.asarray(psi, dtype=complex).reshape(-1)
+
+
+def _kept(keep: Sequence[int], n: int) -> list[int]:
+    keep = sorted(set(int(s) for s in keep))
+    if not keep:
+        raise ValueError("must keep at least one site")
+    if keep[0] < 1 or keep[-1] > n:
+        raise ValueError(f"kept sites {keep} outside 1..{n}")
+    return keep
+
+
+def density_matrix(psi) -> np.ndarray:
+    """Rank-one density matrix |psi><psi| of a pure qubit state."""
+    amps = _amplitudes(psi)
     return np.outer(amps, amps.conj())
+
+
+def reduced_state(psi: AlgebraElement, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a pure qubit state on the sites `keep`
+    (1-based, in ascending order): Psi Psi^dagger, with Psi the amplitude
+    tensor reshaped to (kept sites, traced sites).  It equals
+    partial_trace(density_matrix(psi), keep) without the 2^n x 2^n matrix.
+    """
+    amps, n = _amplitudes(psi), psi.n
+    keep = _kept(keep, n)
+    order = keep + [s for s in range(1, n + 1) if s not in keep]
+    m = amps.reshape((2,) * n).transpose([s - 1 for s in order]).reshape(2 ** len(keep), -1)
+    return m @ m.conj().T
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -37,11 +63,7 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     n = sites_of(rho)
-    keep = sorted(set(int(s) for s in keep))
-    if not keep:
-        raise ValueError("must keep at least one site")
-    if keep[0] < 1 or keep[-1] > n:
-        raise ValueError(f"kept sites {keep} outside 1..{n}")
+    keep = _kept(keep, n)
     t = rho.reshape((2,) * (2 * n))
     ket = list(range(n))
     bra = [i + n if (i + 1) in keep else i for i in range(n)]

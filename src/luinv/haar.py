@@ -23,7 +23,10 @@ The register twirl is the oracle for the mixed lift through a partial
 trace: the kept sites get independent SU(2)s and the traced sites,
 taken together as one register of dimension D = 2^k, get one Haar
 unitary of U(D).  The register is all 0-sites of d, so only row 0 of
-that unitary is applied.
+that unitary reaches d, and the twirl draws only row 0: a point uniform
+on the unit sphere of C^D, which is a normalized complex Gaussian vector
+(Muller 1959).  One sampler, `_sphere_rows`, draws these rows and, at
+D = 2, the SU(2) rows (u, v).
 """
 
 from __future__ import annotations
@@ -55,13 +58,19 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     return haar_su2_batch(rng, 1)[0]
 
 
+def _sphere_rows(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    """`size` independent points uniform on the unit sphere of C^dim, the
+    law of row 0 of a Haar U(dim): normalized complex Gaussian vectors."""
+    z = rng.standard_normal((size, 2 * dim))
+    # column by column, so the rounding is that of z0^2 + z1^2 + ... in order
+    norm = np.sqrt(sum(z[:, j] * z[:, j] for j in range(2 * dim)))
+    return z.view(complex) / norm[:, None]  # entry j is z_2j + i z_2j+1
+
+
 def haar_su2_rows(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """First rows (u, v) of `size` independent Haar SU(2) matrices, each
     [[u, v], [-conj(v), conj(u)]]: (u, v) uniform on the unit sphere of C^2."""
-    z = rng.standard_normal((size, 4))
-    sq = z * z
-    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
-    uv = z.view(complex) / norm[:, None]  # columns z0 + i z1 and z2 + i z3
+    uv = _sphere_rows(rng, size, 2)
     return uv[:, 0], uv[:, 1]
 
 
@@ -74,15 +83,6 @@ def haar_su2_batch(rng: np.random.Generator, size: int) -> np.ndarray:
     out[:, 1, 0] = -v.conj()
     out[:, 1, 1] = u.conj()
     return out
-
-
-def haar_unitary_batch(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
-    """A (size, dim, dim) batch of independent Haar U(dim) matrices: QR of
-    complex Gaussian matrices with the phases of diag(R) moved into Q."""
-    z = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
         # Axes of t: the sites, site 1 first, then the sample, of length 1
         # until a rotation broadcasts it.
         if register:
-            row0 = haar_unitary_batch(rng, b, 2**register)[:, 0, :]
+            row0 = _sphere_rows(rng, b, 2**register)
             t = amps.reshape((2,) * free + (2**register,)) @ row0.T
         else:
             t = amps.reshape((2,) * n + (1,))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .cumulants import APolynomial, cumulant_poly, parse_index, set_partitions, support
-from .density import density_matrix, partial_trace, sites_of
+from .density import partial_trace, reduced_state, sites_of
 from .invariants import cumulant_invariant
 
 # Eigenvalues of the cumulant operator at or below this size count as zero.
@@ -112,9 +112,7 @@ def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[f
     traced = set(int(s) for s in trace_out)
     kept = [s for s in range(1, psi.n + 1) if s not in traced]
     i_val = cumulant_invariant(psi, full)
-    rho = density_matrix(psi)
-    reduced = partial_trace(rho, kept) if traced else rho
-    return i_val, mixed_invariant(reduced, kept_index)
+    return i_val, mixed_invariant(reduced_state(psi, kept), kept_index)
 
 
 def zhou_cumulant(rho: np.ndarray) -> np.ndarray:
@@ -150,8 +148,7 @@ def zhou_m(psi: AlgebraElement, index) -> float:
     kept = support(bits)
     if len(kept) < 2:
         raise ValueError("correlation measure needs at least two support sites")
-    rho = partial_trace(density_matrix(psi), kept)
-    rc = zhou_cumulant(rho)
+    rc = zhou_cumulant(reduced_state(psi, kept))
     asym = np.abs(rc - rc.conj().T).max()
     if asym > 1e-10 * max(1.0, float(np.abs(rc).max())):
         raise ValueError(f"cumulant operator not Hermitian, residue {asym:.3e}")

@@ -153,6 +153,9 @@ def generate_state(
         raise ValueError(f"unknown state kind {kind!r}")
     if n < 1:
         raise ValueError("need at least one site")
+    # as in load_state, 2**n is never computed for an n past the cap
+    if n >= MAX_AMPLITUDES.bit_length():
+        raise ValueError(f"'n' = {n} gives more than {MAX_AMPLITUDES} amplitudes")
     rng = np.random.default_rng(seed)
     if kind == "random":
         c = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)

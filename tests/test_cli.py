@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert field in err and str(MAX_AMPLITUDES) in err
 
+    @pytest.mark.parametrize("n", ["25", "100000"])
+    def test_gen_size_cap(self, tmp_path, capsys, n):
+        out = tmp_path / "big.json"
+        code, doc = run_command(["gen", "--kind", "random", "-n", n, "-o", str(out)])
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert "'n'" in err and str(MAX_AMPLITUDES) in err
+        assert not out.exists()
+
     def test_norm_index_twirl_rejected(self, ghz_file, capsys):
         code, doc = run_command(["twirl", "--state", ghz_file, "--index", "100"])
         capsys.readouterr()
@@ -248,6 +258,12 @@ class TestReportRendering:
         text = render_report(doc)
         assert text.endswith("\n")
         assert text == render_report(json.loads(text))
+
+    def test_version_matches_pyproject(self):
+        # Python 3.10 has no tomllib, so the version line is read by pattern
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+        assert match and match.group(1) == luinv.__version__
 
     def test_subprocess_reports_byte_identical(self, tmp_path):
         env = dict(os.environ)

@@ -10,10 +10,10 @@ from luinv.haar import (
     CHUNK,
     TwirlEstimate,
     _rng_for,
+    _sphere_rows,
     haar_su2,
     haar_su2_batch,
     haar_su2_rows,
-    haar_unitary_batch,
     moment_battery,
     register_twirl_estimate,
     twirl_estimate,
@@ -43,6 +43,34 @@ class TestSampling:
         assert np.array_equal(gs[:, 0, 0], u) and np.array_equal(gs[:, 0, 1], v)
         assert np.array_equal(gs[:, 1, 0], -v.conj())
         assert np.array_equal(gs[:, 1, 1], u.conj())
+
+    def test_su2_rows_are_sphere_rows(self):
+        u, v = haar_su2_rows(_rng_for(11), 1000)
+        uv = _sphere_rows(_rng_for(11), 1000, 2)
+        assert np.array_equal(u, uv[:, 0]) and np.array_equal(v, uv[:, 1])
+        # and the stream of the dedicated SU(2) sampler they replaced
+        z = _rng_for(11).standard_normal((1000, 4))
+        sq = z * z
+        old = z.view(complex) / np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+        assert np.array_equal(uv, old)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_sphere_rows_unit_norm(self, dim):
+        rows = _sphere_rows(_rng_for(dim), 1000, dim)
+        assert rows.shape == (1000, dim)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_sphere_rows_moments(self, dim):
+        # E|r_j|^2 = 1/D, E|r_j|^4 = 2/(D(D+1)), E|r_0|^2|r_1|^2 = 1/(D(D+1))
+        samples = 50_000
+        sq = np.abs(_sphere_rows(_rng_for(100 + dim), samples, dim)) ** 2
+        cases = [(sq[:, j], 1 / dim) for j in range(dim)]
+        cases += [(sq[:, j] ** 2, 2 / (dim * (dim + 1))) for j in range(dim)]
+        cases.append((sq[:, 0] * sq[:, 1], 1 / (dim * (dim + 1))))
+        for x, expected in cases:
+            se = x.std(ddof=1) / sqrt(samples)
+            assert abs(x.mean() - expected) <= 5 * se
 
     def test_seeded_reproducibility(self):
         a = haar_su2_batch(np.random.Generator(np.random.Philox(key=7)), 10)
@@ -114,9 +142,23 @@ def _rotate_batch(amps, site, n, gs):
     return np.einsum("sjk,slkr->sljr", gs, a).reshape(b, 2**n)
 
 
+def _completed_unitaries(rows):
+    """Unitaries U with U[0] = row, one per row.  With x = conj(row) and phi
+    the phase of x_0, the Householder reflection P with w = e0 + conj(phi) x
+    maps e0 to -conj(phi) x (w_0 >= 1, so nothing cancels); U = -conj(phi) P."""
+    x = rows.conj()
+    phi = x[:, 0] / np.abs(x[:, 0])
+    w = phi.conj()[:, None] * x
+    w[:, 0] += 1
+    scale = 2 / np.einsum("sj,sj->s", w, w.conj()).real
+    p = np.eye(rows.shape[1]) - scale[:, None, None] * np.einsum("sj,sk->sjk", w, w.conj())
+    return -phi.conj()[:, None, None] * p
+
+
 def literal_twirl(amps, bits, gamma, samples, seed, register=0):
     """The twirl as defined: rotate the whole table, one einsum per site and
-    the full U(2^register), evaluate d term by term, keep every sample."""
+    a full U(2^register) completed from the drawn row 0, evaluate d term by
+    term, keep every sample."""
     n = len(bits)
     free = n - register
     d = cumulant_poly(bits)
@@ -129,7 +171,11 @@ def literal_twirl(amps, bits, gamma, samples, seed, register=0):
         for site in range(1, free + 1):
             rotated = _rotate_batch(rotated, site, n, haar_su2_batch(rng, b))
         if register:
-            us = haar_unitary_batch(rng, b, 2**register)
+            rows = _sphere_rows(rng, b, 2**register)
+            us = _completed_unitaries(rows)
+            assert np.allclose(us[:, 0], rows, rtol=0, atol=1e-14)
+            eye = np.eye(2**register)
+            assert np.allclose(us @ us.conj().transpose(0, 2, 1), eye, rtol=0, atol=1e-14)
             rotated = np.einsum(
                 "sjk,smk->smj", us, rotated.reshape(b, 2**free, 2**register)
             ).reshape(b, 2**n)

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from luinv.algebra import AlgebraElement, permute_sites, tensor
-from luinv.density import density_matrix, partial_trace, sites_of
+from luinv import density, mixed
+from luinv.density import density_matrix, partial_trace, reduced_state, sites_of
 from luinv.haar import register_twirl_estimate
 from luinv.invariants import cumulant_invariant
-from luinv.mixed import lifted_invariant_pair, mixed_invariant, zhou_cumulant, zhou_m
+from luinv.mixed import (
+    EIGENVALUE_FLOOR,
+    lifted_invariant_pair,
+    mixed_invariant,
+    padded_index,
+    zhou_cumulant,
+    zhou_m,
+)
 
 from conftest import gaussian_state
 
@@ -77,6 +85,15 @@ class TestDensity:
             assert np.allclose(mine, ref, atol=1e-14)
             assert np.trace(mine) == pytest.approx(1.0, abs=1e-12)
 
+    def test_reduced_state_against_partial_trace(self):
+        psi = gaussian_state(np.random.default_rng(4), 5)
+        rho = density_matrix(psi)
+        for keep in ([2], [5], [1, 4], [3, 2], [1, 2, 5], [2, 3, 4, 5], [1, 2, 3, 4, 5]):
+            mine = reduced_state(psi, keep)
+            assert np.allclose(mine, partial_trace(rho, keep), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            reduced_state(psi, [6])
+
 
 class TestMixedLift:
     def test_pure_state_reduction(self):
@@ -140,6 +157,41 @@ class TestMixedLift:
             )
             closed = cumulant_invariant(psi, index)
             assert abs(est.mean - closed) <= 5 * est.std_error
+
+    def test_lift_and_zhou_skip_the_density_matrix(self, monkeypatch):
+        # values of the reduce-the-full-matrix formulas, taken before
+        # density_matrix is made to refuse
+        rng = np.random.default_rng(5)
+        lifts, zhous = [], []
+        for n, lift_cases in (
+            (4, (([], "1011"), ([2], "111"), ([1, 4], "11"), ([2, 3], "11"))),
+            (5, (([3], "1101"), ([1, 5], "111"), ([2, 3], "101"), ([1, 2, 4], "11"))),
+        ):
+            psi = gaussian_state(rng, n)
+            rho = density_matrix(psi)
+            for traced, kept_index in lift_cases:
+                kept = [s for s in range(1, n + 1) if s not in traced]
+                full = padded_index(n, traced, kept_index)
+                ref = mixed_invariant(partial_trace(rho, kept), kept_index)
+                lifts.append((psi, traced, kept_index, cumulant_invariant(psi, full), ref))
+            for index in ("11" + "0" * (n - 2), "0" * (n - 3) + "111", "1" * n):
+                supp = [s for s, b in enumerate(index, 1) if b == "1"]
+                rc = zhou_cumulant(partial_trace(rho, supp))
+                evals = np.linalg.eigvalsh((rc + rc.conj().T) / 2)
+                evals[np.abs(evals) <= EIGENVALUE_FLOOR] = 0.0
+                zhous.append((psi, index, 0.5 * np.abs(evals).sum()))
+
+        def refuse(psi):
+            raise AssertionError("density_matrix called")
+
+        monkeypatch.setattr(density, "density_matrix", refuse)
+        monkeypatch.setattr(mixed, "density_matrix", refuse, raising=False)
+        for psi, traced, kept_index, i_ref, j_ref in lifts:
+            i_val, j_val = lifted_invariant_pair(psi, traced, kept_index)
+            assert i_val == i_ref
+            assert abs(j_val - j_ref) <= 1e-14 * max(1.0, abs(j_ref))
+        for psi, index, m_ref in zhous:
+            assert abs(zhou_m(psi, index) - m_ref) <= 1e-14 * max(1.0, m_ref)
 
 
 class TestZhou:
