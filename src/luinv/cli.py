@@ -16,7 +16,7 @@ import sys
 from itertools import combinations
 
 from .cumulants import index_str, parse_index, splitting_indices
-from .invariants import cumulant_invariant, invariant_family
+from .invariants import check_grid_table, cumulant_invariant, invariant_family
 from .haar import twirl_estimate
 from .mixed import lifted_invariant_pair, padded_index, zhou_m
 from .report import make_entry, make_report, render_report
@@ -60,6 +60,8 @@ def _cmd_invariants(args):
     entries = []
     if args.family == "cumulant":
         indices = invariant_family(n) if args.all else [_site_index(args, n)]
+        for idx in indices:  # refuse before any evaluation
+            check_grid_table(idx)
         for idx in indices:
             entries.append(
                 make_entry(
@@ -103,9 +105,12 @@ def _cmd_separability(args):
     psi = _load(args)
     blocks = parse_partition(args.partition, psi.n)
     norm_sq = psi.norm_sq()
+    indices = splitting_indices(blocks, psi.n)
+    for idx in indices:  # refuse before any evaluation
+        check_grid_table(idx)
     entries = []
     separable = True
-    for idx in splitting_indices(blocks, psi.n):
+    for idx in indices:
         val = cumulant_invariant(psi, idx)
         theta = sum(idx)
         separable &= val <= SEPARABLE_RTOL * norm_sq**theta

@@ -12,7 +12,7 @@ Only local dimension 2 is supported here; amplitude words are bit words.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -223,24 +223,21 @@ def cumulant_table(psi: AlgebraElement, rtol: float = SINGULAR_RTOL) -> np.ndarr
     return log(psi, rtol=rtol).coeffs.copy()
 
 
+def _splits(bits, blocks) -> bool:
+    """Whether the support of a bit word meets at least two valid blocks."""
+    return sum(1 for b in blocks if any(bits[s - 1] for s in b)) >= 2
+
+
 def splits_partition(index, blocks) -> bool:
     """Whether the index's support meets at least two blocks of the partition."""
     bits = parse_index(index)
-    blocks = check_partition(blocks, len(bits))
-    supp = set(support(bits))
-    touched = sum(1 for b in blocks if supp & set(b))
-    return touched >= 2
+    return _splits(bits, check_partition(blocks, len(bits)))
 
 
 def splitting_indices(blocks, n: int) -> list[tuple[int, ...]]:
     """All indices over n sites whose support meets >= 2 blocks."""
     blocks = check_partition(blocks, n)
-    out = []
-    for flat in range(1, 2**n):
-        bits = tuple((flat >> (n - 1 - i)) & 1 for i in range(n))
-        if splits_partition(bits, blocks):
-            out.append(bits)
-    return out
+    return [bits for bits in product((0, 1), repeat=n) if _splits(bits, blocks)]
 
 
 def dimension_counts(n: int, d: int, blocks) -> tuple[int, int]:

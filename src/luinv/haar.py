@@ -12,12 +12,13 @@ therefore projects first: a 0-site with first row (u, v) maps the
 digit pair (a0, a1) to u a0 + v a1 and halves the table.  The 1-sites
 are then rotated in full by broadcast multiply-adds, leaving the 2^theta
 support table, on which d is evaluated by `invariants.evaluate_d`, the
-same kernel the closed-form grid uses.  The SU(2)s are still drawn in
-site order, one per site per chunk, so the RNG stream for a given
-(seed, samples) is that of the full rotation.  The mean and the sum of
-squared deviations are kept per chunk and combined chunk by chunk
-(Chan, Golub & LeVeque 1979), so memory does not grow with `samples`;
-MAX_SAMPLES bounds the time instead.
+same kernel the closed-form grid uses: the moment-cumulant recursion over
+the subsets of the support, which reads only the table.  The SU(2)s
+are still drawn in site order, one per site per chunk, so the RNG stream
+for a given (seed, samples) is that of the full rotation.  The mean and
+the sum of squared deviations are kept per chunk and combined chunk by
+chunk (Chan, Golub & LeVeque 1979), so memory does not grow with
+`samples`; MAX_SAMPLES bounds the time instead.
 
 The register twirl is the oracle for the mixed lift through a partial
 trace: the kept sites get independent SU(2)s and the traced sites,
@@ -135,7 +136,7 @@ def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
             t[0] += v * a1
             np.multiply(a1, u.conj(), out=t[1])
             t[1] -= v.conj() * a0
-        d = evaluate_d(t.reshape(2 ** len(ones), b), bits)
+        d = evaluate_d(t.reshape(2 ** len(ones), b))
         vals = d.real**2 + d.imag**2
         chunk_mean = vals.mean()
         delta = chunk_mean - mean

@@ -17,28 +17,32 @@ degree at most theta in t_p at a 0-site and at most theta-2 at a 1-site,
 where R_{p,theta-1} d has no terms.  So F is sampled on a grid of roots
 of unity with one axis per site, of length theta+1 at a 0-site and
 theta-1 at a 1-site; the n-D FFT of the samples divided by the grid size
-is every c_k, without aliasing.  d is evaluated as a polynomial in the
-transformed amplitudes, never as a_{0..0}^theta times the log, because
-a_{0..0} can vanish on grid points (for W, 1 + w + w^2 = 0).  The norm
-index (theta = 1) is handled separately: I = <psi|psi>.
+is every c_k, without aliasing.  The raised amplitudes of one state fill
+a table of 2^theta rows by the grid points; an index whose table exceeds
+MAX_TABLE_BYTES is refused before it is built.  The norm index
+(theta = 1) is handled separately: I = <psi|psi>.
+
+d is evaluated on the 2^theta support rows of the table by the
+moment-cumulant recursion over subsets, cleared of a_{0..0}, never as
+a_{0..0}^theta times the log, because a_{0..0} can vanish on grid points
+(for W, 1 + w + w^2 = 0).  The kernel, `evaluate_d`, depends only on
+theta; it also serves the Monte-Carlo twirl in `haar`.
 
 One evaluator serves every caller: it takes a batch of amplitude tables,
-so the Jacobian makes one call per index for all its shifted states.  Its
-kernel for d on the 2^theta support table, `evaluate_d`, also serves the
-Monte-Carlo twirl in `haar`.
+so the Jacobian makes one call per index for all its shifted states.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import cumulant_poly, parse_index, qubit_amps, support
+from .cumulants import index_str, parse_index, qubit_amps
 from .density import density_matrix, partial_trace
 
 # Singular values below this fraction of the largest count as zero rank.
@@ -48,6 +52,10 @@ JACOBIAN_SV_RTOL = 1e-7
 # product over d's factors runs over at most this many grid points at a
 # time, so the work arrays stay small for any grid or batch size.
 CHUNK = 1024
+
+# Largest raised grid table, 16 * 2^theta bytes per grid point of one state,
+# that the evaluator builds; a larger index is refused before allocating.
+MAX_TABLE_BYTES = 2**30
 
 
 def gamma_factor(n: int, theta: int) -> float:
@@ -62,34 +70,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=256)
-def _d_plan(bits: tuple[int, ...]):
-    """d's coefficients and factor words for one index.
+def evaluate_d(table: np.ndarray) -> np.ndarray:
+    """d at every column of a (2**theta, m) support table.
 
-    d's factor words have digit 0 off the support, so they are renumbered
-    over the support digits alone, the first support site least significant.
+    Row r holds the amplitude of the support subset r, the first support
+    site as bit 0, with digit 0 off the support.  d is d_S at the full mask
+    S, by the moment-cumulant recursion over the proper subsets B of S that
+    hold the first site, cleared of a0 so that it needs no division:
+
+        d_S = a0^(|S|-1) a_S - sum_B d_B a_{S-B} a0^(|S|-|B|-1).
+
+    With e_c = a0^(|c|-1) a_c this is d_S = e_S - sum_B d_B e_{S-B}.  S-B
+    never holds the first site, so e is updated in place: the odd masks run
+    in increasing order, and e_B has become d_B by the time S reads it.
+    The columns are taken at most CHUNK at a time.
     """
-    n = len(bits)
-    coeffs, idx = cumulant_poly(bits).compiled()
-    local = sum(((idx >> (n - site)) & 1) << i for i, site in enumerate(support(bits)))
-    return _frozen(coeffs.reshape(-1, 1)), _frozen(local)
-
-
-def evaluate_d(table: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    """d_bits at every column of a (2**theta, m) support table.
-
-    Row r of the table holds the amplitude whose support digits spell r,
-    the first support site least significant, and digit 0 off the support.
-    The product over d's factors runs over at most CHUNK columns at a time.
-    """
-    coeffs, local = _d_plan(bits)
+    theta = len(table).bit_length() - 1
     out = np.empty(table.shape[1], dtype=complex)
     for c0 in range(0, table.shape[1], CHUNK):
-        part = table[:, c0 : c0 + CHUNK]
-        h = part[local[:, 0]] * coeffs
-        for r in range(1, local.shape[1]):
-            h *= part[local[:, r]]
-        out[c0 : c0 + CHUNK] = h.sum(axis=0)
+        a = table[:, c0 : c0 + CHUNK]
+        power = list(accumulate([a[0]] * (theta - 1), np.multiply, initial=1))  # a0^k
+        e = [a[c] * power[c.bit_count() - 1] for c in range(len(a))]
+        for s in range(3, len(a), 2):
+            for b in range(1, s, 2):
+                if b & s == b:
+                    e[s] -= e[b] * e[s ^ b]
+        out[c0 : c0 + CHUNK] = e[-1]
     return out
 
 
@@ -106,8 +112,23 @@ def _grid_plan(bits: tuple[int, ...]):
     return lengths, roots, _frozen(weights.reshape(-1))
 
 
+def check_grid_table(bits: tuple[int, ...]) -> None:
+    """Refuse an index whose raised grid table exceeds MAX_TABLE_BYTES.
+
+    The norm index has a 1-site axis of length theta - 1 = 0 and no table.
+    """
+    theta = sum(bits)
+    size = 16 * 2**theta * prod(theta - 1 if b else theta + 1 for b in bits)
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"index {index_str(bits)} needs a grid table of {size} bytes, over the "
+            f"cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
+        )
+
+
 def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
     """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
+    check_grid_table(bits)
     lengths, roots, weights = _grid_plan(bits)
     n, theta, points = len(bits), sum(bits), prod(lengths)
     out = np.empty(amps.shape[0])
@@ -126,7 +147,7 @@ def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
                 raised = np.stack((raised, np.broadcast_to(hi, raised.shape)))
                 digits += 1
             t = raised
-        samples = evaluate_d(t.reshape(2**theta, -1), bits)
+        samples = evaluate_d(t.reshape(2**theta, -1))
         c = np.fft.fftn(samples.reshape((-1,) + lengths), axes=range(1, n + 1)) / points
         sq = (c.real**2 + c.imag**2).reshape(c.shape[0], -1)
         out[s0 : s0 + per] = (sq * weights).sum(axis=1)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraElement, permute_sites, tensor
+from .cumulants import check_partition
 
 STATE_KINDS = ("random", "bell", "ghz", "w", "separable")
 
@@ -30,31 +31,18 @@ def parse_partition(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Parse a partition like "1,2|3" into blocks of site labels.
 
     Blocks are separated by '|', sites within a block by ','.  The
-    blocks must cover {1..n} exactly once.
+    blocks must cover {1..n} exactly once (see `check_partition`).
     """
     blocks = []
-    seen: set[int] = set()
     for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            raise ValueError("empty block in partition")
-        sites = []
+        block = []
         for tok in part.split(","):
             tok = tok.strip()
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise ValueError(f"partition site {tok!r} is not a positive integer")
-            s = int(tok)
-            if not 1 <= s <= n:
-                raise ValueError(f"partition site {s} outside 1..{n}")
-            if s in seen:
-                raise ValueError(f"partition repeats site {s}")
-            seen.add(s)
-            sites.append(s)
-        blocks.append(tuple(sorted(sites)))
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise ValueError(f"partition misses sites {missing}")
-    return tuple(sorted(blocks, key=min))
+            block.append(int(tok))
+        blocks.append(block)
+    return check_partition(blocks, n)
 
 
 def _is_int(x) -> bool:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from luinv import cli
 from luinv.algebra import permute_sites, tensor
 from luinv.cli import run_command
 from luinv.haar import MAX_SAMPLES
+from luinv.invariants import MAX_TABLE_BYTES
 from luinv.report import make_entry, make_report, render_report
 from luinv.states import MAX_AMPLITUDES, generate_state, save_state
 
@@ -347,6 +349,29 @@ class TestProcess:
             f"error: samples = 1000000000000 exceeds the cap of {MAX_SAMPLES} "
             "(haar.MAX_SAMPLES)\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["invariants", "--all"], ["separability", "--partition", "1,2,3,4|5,6,7,8"]],
+        ids=["invariants", "separability"],
+    )
+    def test_grid_table_cap_refused_at_once(self, tmp_path, args):
+        state = tmp_path / "random8.json"
+        save_state(generate_state("random", 8, seed=81), state)
+
+        def limit_memory():
+            # should the cap stop holding, the child fails short of the machine's memory
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "luinv", args[0], "--state", str(state)] + args[1:],
+            capture_output=True, env=dict(os.environ), timeout=60, preexec_fn=limit_memory,
+        )
+        assert time.monotonic() - start < 5
+        assert run.returncode == 2 and run.stdout == b""
+        err = run.stderr.decode()
+        assert "MAX_TABLE_BYTES" in err and str(MAX_TABLE_BYTES) in err
 
     def test_import_does_not_load_scipy(self):
         probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

@@ -1,18 +1,24 @@
 """Closed-form invariant values, family layout, Sudbery relations, Jacobian."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from luinv import invariants
 from luinv.algebra import AlgebraElement, apply_local, permute_sites, tensor
-from luinv.cumulants import splitting_indices
-from luinv.haar import haar_su2
+from luinv.cumulants import APolynomial, cumulant_poly, index_str, splitting_indices
+from luinv.haar import haar_su2, twirl_estimate
 from luinv.invariants import (
+    CHUNK,
     JACOBIAN_SV_RTOL,
+    MAX_TABLE_BYTES,
+    check_grid_table,
     check_relations,
     cumulant_invariant,
     cumulant_invariant_batch,
+    evaluate_d,
     gamma_factor,
     invariant_family,
     invariant_jacobian,
@@ -271,6 +277,101 @@ class TestGridEvaluator:
             cumulant_invariant_batch(np.ones((2, 4)), "111")
         with pytest.raises(ValueError):
             cumulant_invariant_batch(np.ones(8), "111")
+
+
+def support_table(amps, bits):
+    """The (2^theta, B) support table of a (B, 2^n) batch: row r holds the
+    amplitude whose support digits spell r, the first support site as bit 0,
+    with digit 0 off the support."""
+    n = len(bits)
+    supp = [p for p in range(1, n + 1) if bits[p - 1]]
+    flat = [sum(1 << (n - p) for i, p in enumerate(supp) if r >> i & 1)
+            for r in range(2 ** len(supp))]
+    return amps[:, flat].T
+
+
+def partition_sum_d(amps, bits):
+    """d term by term from its partition sum, a few columns at a time."""
+    poly = cumulant_poly(bits)
+    return np.concatenate([poly.evaluate_batch(amps[c0 : c0 + 256])
+                           for c0 in range(0, len(amps), 256)])
+
+
+def assert_d_close(got, want):
+    """Relative at 1e-12, or absolute at the largest |d| where d vanishes."""
+    peak = np.abs(want).max()
+    scale = np.where(np.abs(want) > 1e-12 * peak, np.abs(want), peak)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestDKernel:
+    """The subset recursion against d's partition sum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_partition_sum_on_states(self, n):
+        batch = oracle_states(n)
+        for bits in invariant_family(n)[1:]:
+            assert_d_close(evaluate_d(support_table(batch, bits)), partition_sum_d(batch, bits))
+
+    @pytest.mark.parametrize("theta", [2, 3, 4, 5, 6, 7])
+    def test_matches_partition_sum_on_tables(self, theta):
+        # the columns cross CHUNK, and a0 vanishes on every third one
+        rng = np.random.default_rng(70 + theta)
+        m = CHUNK + 37
+        table = rng.normal(size=(2**theta, m)) + 1j * rng.normal(size=(2**theta, m))
+        table[0, ::3] = 0
+        bits = (1,) * theta
+        # the all-ones index at n = theta reads the support table in full
+        amps = np.empty((m, 2**theta), dtype=complex)
+        amps[:, support_table(np.arange(2**theta)[None], bits)[:, 0]] = table.T
+        assert_d_close(evaluate_d(table), partition_sum_d(amps, bits))
+
+    def test_w_vanishing_a0(self):
+        # only the partition into singletons survives a0 = 0 on W
+        for n, want in ((3, 2), (4, -6), (5, 24)):
+            w = np.zeros((1, 2**n), dtype=complex)
+            w[0, [1 << k for k in range(n)]] = 1.0
+            assert evaluate_d(support_table(w, (1,) * n))[0] == want
+
+
+class TestProductionPath:
+    """The grid and the twirl never build d symbolically."""
+
+    def test_family_and_twirl_bit_for_bit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic d on the production path")
+
+        rng = np.random.default_rng(90)
+        states = {n: gaussian_state(rng, n) for n in range(2, 6)}
+
+        def values():
+            family = {(n, b): cumulant_invariant(psi, b)
+                      for n, psi in states.items() for b in invariant_family(n)}
+            twirls = {b: twirl_estimate(states[len(b)], b, samples=3000, seed=9)
+                      for n in (2, 3, 4) for b in invariant_family(n)[1:]}
+            return family, twirls
+
+        # the patched run goes first, so no cache of the unpatched one serves it
+        with monkeypatch.context() as m:
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "luinv" and hasattr(module, "cumulant_poly"):
+                    m.setattr(module, "cumulant_poly", refuse)
+            m.setattr(APolynomial, "compiled", refuse)
+            got = values()
+        assert got == values()
+
+
+class TestGridTableCap:
+    def test_seven_qubits_admitted(self):
+        check_grid_table((1,) * 7)  # 128 x 6^7 x 16 bytes, about 573 MB
+        check_grid_table((1,) * 6 + (0, 0))  # the largest n = 8 table, 784 MB
+
+    @pytest.mark.parametrize("bits", [(1,) * 8, (1,) * 7 + (0,)], ids=index_str)
+    def test_larger_tables_refused(self, bits):
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            check_grid_table(bits)
+        with pytest.raises(ValueError, match=str(MAX_TABLE_BYTES)):
+            cumulant_invariant(np.ones(2**8) / 16, bits)
 
 
 def _normalized(re_im):

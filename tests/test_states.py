@@ -96,6 +96,11 @@ class TestPartitionParsing:
         with pytest.raises(ValueError):
             parse_partition(text, 3)
 
+    @pytest.mark.parametrize("token", ["a", "-1", "²", "1.0", ""])
+    def test_bad_token_named(self, token):
+        with pytest.raises(ValueError, match=f"partition site {token!r} is not"):
+            parse_partition(f"1,2|{token}", 3)
+
 
 class TestGenerators:
     def test_ghz(self):
