@@ -21,6 +21,12 @@ print("single traced site, all placements:")
 for traced, kept in ((3, "11"), (2, "11"), (1, "11")):
     i_val, j_val = lifted_invariant_pair(psi, (traced,), kept)
     print(f"  trace site {traced}: I = {i_val:.12f}  lifted = {j_val:.12f}")
+
+# theta = 5 on five kept sites: the lift is a finite difference over
+# 20 lattice states through the invariant grid, in milliseconds
+psi6 = generate_state("random", 6, seed=22)
+i_val, j_val = lifted_invariant_pair(psi6, (6,), "11111")
+print(f"  6 qubits, trace site 6, theta = 5: I = {i_val:.12f}  lifted = {j_val:.12f}")
 print()
 
 # Bell pairs on sites 1,3 and 2,4: the index 1100 splits the product,

@@ -25,6 +25,7 @@ from .states import (
     generate_state,
     load_state,
     parse_partition,
+    parse_sites,
     save_state,
     state_digest,
 )
@@ -147,12 +148,7 @@ def _cmd_twirl(args):
 
 def _cmd_lift(args):
     psi = _load(args)
-    traced = []
-    for tok in args.trace_out.split(","):
-        tok = tok.strip()
-        if not tok.isdigit():
-            raise ValueError(f"traced site {tok!r} is not a positive integer")
-        traced.append(int(tok))
+    traced = parse_sites(args.trace_out, "traced site")
     kept_bits = parse_index(args.index)
     full = padded_index(psi.n, traced, kept_bits)
     i_val, j_val = lifted_invariant_pair(psi, traced, kept_bits)

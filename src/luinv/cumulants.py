@@ -1,18 +1,19 @@
-"""Cumulant polynomials of qubit amplitude tables and index-shift operators.
+"""Cumulant polynomials of qubit amplitude tables, indices and partitions.
 
 The cumulants c of a state are the coefficients of its logarithm in the
 nilpotent algebra.  Clearing denominators, d = a_{0..0}^theta * c is a
 homogeneous polynomial in the raw amplitudes, with one term per set
-partition of the index's support.  These polynomials, together with the
-raising operators R_{i,k}, are the raw material for the closed-form
-local-unitary invariants.
+partition of the index's support.  Its raising-operator images are the
+raw material for the closed-form local-unitary invariants, but
+`invariants` and `mixed` sample d on grids instead of expanding it, so
+`cumulant_poly` is a symbolic view only.
 
 Only local dimension 2 is supported here; amplitude words are bit words.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -106,7 +107,10 @@ class APolynomial:
     """Homogeneous polynomial in qubit amplitudes a_w, w a length-n bit word.
 
     Monomials are multisets of flat amplitude indices stored as sorted
-    tuples; the zero polynomial has no terms.
+    tuples; the zero polynomial has no terms.  Nothing in the package
+    evaluates through it: it is the symbolic view of d for reading, the
+    tests and the demos, and the benchmark's tracer (perfbench/tracer.py)
+    wraps `cumulant_poly`, `evaluate` and `evaluate_batch` by name.
     """
 
     __slots__ = ("n", "terms", "_compiled")
@@ -157,28 +161,6 @@ class APolynomial:
         coeffs, idx = self.compiled()
         return np.prod(amps[:, idx], axis=2) @ coeffs
 
-    def raised(self, site: int, k: int) -> "APolynomial":
-        """Raising operator R_{site,k}: sum over k-subsets of factor slots
-        holding digit 0 at the site, with those digits flipped to 1."""
-        self._check_site(site)
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        bit = 1 << (self.n - site)
-        new: dict[tuple[int, ...], complex] = {}
-        for key, coeff in self.terms.items():
-            slots = [t for t, f in enumerate(key) if not f & bit]
-            for combo in combinations(slots, k):
-                flipped = list(key)
-                for t in combo:
-                    flipped[t] |= bit
-                fk = tuple(sorted(flipped))
-                new[fk] = new.get(fk, 0) + coeff
-        return APolynomial(self.n, new)
-
-    def _check_site(self, site: int) -> None:
-        if not 1 <= site <= self.n:
-            raise ValueError(f"site {site} outside 1..{self.n}")
-
 
 def qubit_amps(state, n: int) -> np.ndarray:
     """Flat amplitude table of an n-qubit state, an AlgebraElement with
@@ -200,6 +182,8 @@ def cumulant_poly(index) -> APolynomial:
 
     One term per set partition of the support: sign (-1)^(blocks-1),
     weight (blocks-1)!, a_{0..0} factors padding the degree to theta.
+    A symbolic view for reading and checking: the package itself evaluates
+    d with `invariants.evaluate_d`, which never builds this sum.
     """
     bits = parse_index(index)
     n = len(bits)

@@ -38,6 +38,15 @@ def _kept(keep: Sequence[int], n: int) -> list[int]:
     return keep
 
 
+def split_sites(trace_out: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The kept and the traced sites of an n-site register, each ascending,
+    refusing a traced site outside 1..n."""
+    traced = sorted(set(int(s) for s in trace_out))
+    if traced and (traced[0] < 1 or traced[-1] > n):
+        raise ValueError(f"traced sites {traced} outside 1..{n}")
+    return [s for s in range(1, n + 1) if s not in traced], traced
+
+
 def density_matrix(psi) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of a pure qubit state."""
     amps = _amplitudes(psi)

@@ -38,6 +38,7 @@ from math import comb, prod, sqrt
 import numpy as np
 
 from .cumulants import parse_index, qubit_amps
+from .density import split_sites
 from .invariants import evaluate_d, gamma_factor
 
 # Samples are processed in fixed-size chunks; the RNG stream, and hence
@@ -184,13 +185,10 @@ def register_twirl_estimate(
     theta = sum(kept_bits)
     if theta < 2:
         raise ValueError("twirl oracle is defined for indices with theta >= 2")
-    traced = sorted(set(int(s) for s in trace_out))
+    n = len(kept_bits) + len(set(int(s) for s in trace_out))
+    kept, traced = split_sites(trace_out, n)
     k = len(traced)
-    n = len(kept_bits) + k
-    if traced and (traced[0] < 1 or traced[-1] > n):
-        raise ValueError(f"traced sites {traced} outside 1..{n}")
     amps = qubit_amps(state, n)
-    kept = [s for s in range(1, n + 1) if s not in traced]
     order = [s - 1 for s in kept + traced]
     amps = np.ascontiguousarray(amps.reshape((2,) * n).transpose(order)).reshape(-1)
     gamma = (

@@ -29,7 +29,9 @@ a_{0..0}^theta times the log, because a_{0..0} can vanish on grid points
 theta; it also serves the Monte-Carlo twirl in `haar`.
 
 One evaluator serves every caller: it takes a batch of amplitude tables,
-so the Jacobian makes one call per index for all its shifted states.
+so the Jacobian makes one call per index for all its shifted states, and
+the mixed lift in `mixed` reads the c_k themselves, before squaring,
+through `grid_coefficients`.
 """
 
 from __future__ import annotations
@@ -126,12 +128,16 @@ def check_grid_table(bits: tuple[int, ...]) -> None:
         )
 
 
-def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
+def grid_coefficients(amps: np.ndarray, bits: tuple[int, ...]):
+    """Every c_k of a (B, 2**n) batch, theta >= 2, before squaring.
+
+    Yields (start, c) per block of states, c of shape (block, grid points)
+    with row j for state start + j, so that I = sum_k alpha_k |c_k|^2 with
+    alpha = grid_weights(bits).  Only one block is held at a time.
+    """
     check_grid_table(bits)
-    lengths, roots, weights = _grid_plan(bits)
+    lengths, roots, _ = _grid_plan(bits)
     n, theta, points = len(bits), sum(bits), prod(lengths)
-    out = np.empty(amps.shape[0])
     per = max(1, CHUNK // points)
     for s0 in range(0, amps.shape[0], per):
         block = amps[s0 : s0 + per]
@@ -149,8 +155,20 @@ def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
             t = raised
         samples = evaluate_d(t.reshape(2**theta, -1))
         c = np.fft.fftn(samples.reshape((-1,) + lengths), axes=range(1, n + 1)) / points
-        sq = (c.real**2 + c.imag**2).reshape(c.shape[0], -1)
-        out[s0 : s0 + per] = (sq * weights).sum(axis=1)
+        yield s0, c.reshape(c.shape[0], -1)
+
+
+def grid_weights(bits: tuple[int, ...]) -> np.ndarray:
+    """The moment weights alpha_k, flat in the order of grid_coefficients."""
+    return _grid_plan(bits)[2]
+
+
+def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
+    weights = grid_weights(bits)
+    out = np.empty(amps.shape[0])
+    for s0, c in grid_coefficients(amps, bits):
+        out[s0 : s0 + len(c)] = ((c.real**2 + c.imag**2) * weights).sum(axis=1)
     return np.maximum(out, 0.0)
 
 

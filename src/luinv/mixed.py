@@ -6,15 +6,35 @@ lifts to density matrices by symmetrizing each monomial:
     Prod_r a_{i^r} Prod_s abar_{j^s}
         -> (1/theta!) sum_sigma Prod_r rho[i^r, j^sigma(r)]
 
-The lift needs I as explicit polynomials, so `invariant_pieces` expands
-the closed form term by term, one polynomial per raising-operator image
-of d; `invariants` evaluates I by interpolation instead and never builds
-these.  On |psi><psi| the lift reproduces J, and tracing one site out of a
-pure state matches a 0 at that site of the invariant's index.  For k
-traced sites the lift at the reduced state is the twirl in which the
-kept sites get independent SU(2)s and the traced register one Haar
-unitary of U(2^k) (haar.register_twirl_estimate); for k >= 2 that is
-not the zero-padded invariant, which twirls each traced site on its own.
+The sum over sigma is Wick's theorem for a complex Gaussian phi ~ CN(0, rho),
+so hatJ(rho) = E I(phi) / theta!.  Write rho = sum_m lambda_m v_m v_m^dagger
+over its r nonzero eigenvalues and phi = sum_m sqrt(lambda_m) z_m v_m with
+independent standard complex z_m.  Each coefficient c_k of I (see
+`invariants`) is homogeneous of degree theta, c_k(sum_m s_m v_m) =
+sum_{|a| = theta} s^a c_{k,a}, and E|z^a|^2 = a!, so
+
+    hatJ = sum_{|a| = theta} (a!/theta!) lambda^a sum_k alpha_k |c_{k,a}|^2.
+
+Both sides are polynomials in lambda, so this holds with signed lambda for
+any Hermitian rho; at r = 1 it is I(psi).  Each c_{k,a} is the exact
+theta-th finite difference on the lattice of integer points b >= 0:
+
+    c_{k,a} = (1/a!) sum_{0 <= b <= a} (-1)^(theta - |b|) Prod_m C(a_m, b_m)
+              c_k(sum_m b_m v_m),
+
+exact because every monomial s^e of degree theta other than s^a has some
+e_m < a_m and is annihilated.  The lift is therefore one batch of the
+C(r + theta, theta) - 1 nonzero lattice states through the grid evaluator
+and one difference matrix that depends only on (r, theta).  The lattice
+coefficients take 16 bytes per lattice state and grid point; a lift that
+needs more than invariants.MAX_TABLE_BYTES is refused before it starts.
+
+On |psi><psi| the lift reproduces J, and tracing one site out of a pure
+state matches a 0 at that site of the invariant's index.  For k traced
+sites the lift at the reduced state is the twirl in which the kept sites
+get independent SU(2)s and the traced register one Haar unitary of
+U(2^k) (haar.register_twirl_estimate); for k >= 2 that is not the
+zero-padded invariant, which twirls each traced site on its own.
 
 The Zhou cumulant operator is the density-matrix analogue of the log:
 rho_c = sum over set partitions of (-1)^(blocks-1) (blocks-1)! times
@@ -24,73 +44,97 @@ site order.  Half the trace norm of rho_c is the correlation measure M.
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import comb, factorial
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import APolynomial, cumulant_poly, parse_index, set_partitions, support
-from .density import partial_trace, reduced_state, sites_of
-from .invariants import cumulant_invariant
+from .cumulants import index_str, parse_index, set_partitions, support
+from .density import partial_trace, reduced_state, sites_of, split_sites
+from .invariants import MAX_TABLE_BYTES, cumulant_invariant, grid_coefficients, grid_weights
 
-# Eigenvalues of the cumulant operator at or below this size count as zero.
+# Eigenvalues at or below this size count as zero: in the Zhou measure as
+# they stand, in the lift relative to the largest.
 EIGENVALUE_FLOOR = 1e-12
 
 
-def invariant_pieces(index) -> list[tuple[float, APolynomial]]:
-    """The closed form of I_index term by term: every nonzero raising-operator
-    image prod_p R_{p,k_p} d with its moment weight, so that
-    I_index = sum of weight * |image|^2 (see `invariants`)."""
-    bits = parse_index(index)
-    theta = sum(bits)
-    pieces = [(1.0, cumulant_poly(bits))]
-    for site, b in enumerate(bits, 1):
-        base = theta - 2 if b else theta
-        pieces = [
-            (weight / comb(base, k), poly.raised(site, k))
-            for weight, poly in pieces
-            for k in range(base + 1)
-        ]
-    return [(w, p) for w, p in pieces if p.terms]
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian part of m, refusing an m that is not Hermitian."""
+    asym = np.abs(m - m.conj().T).max()
+    if asym > 1e-10 * max(1.0, float(np.abs(m).max())):
+        raise ValueError(f"{what} not Hermitian, residue {asym:.3e}")
+    return (m + m.conj().T) / 2
+
+
+def _exponents(r: int, size: int) -> list[tuple[int, ...]]:
+    """Every exponent vector a of r entries with |a| = size."""
+    return [tuple(combo.count(m) for m in range(r))
+            for combo in combinations_with_replacement(range(r), size)]
+
+
+@lru_cache(maxsize=64)
+def _lift_plan(r: int, theta: int):
+    """The finite-difference plan for rank r and degree theta.
+
+    Returns the nonzero lattice points b (|b| <= theta) as rows and, for
+    each exponent a with |a| = theta, a itself, the lattice rows of the
+    points b <= a, their signs (-1)^(theta-|b|) Prod_m C(a_m, b_m), and
+    1/(theta! a!).  Lattice row len(lattice) stands for b = 0, where c_k
+    vanishes; it also pads the rows of the a with fewer points.
+    """
+    lattice = [b for size in range(1, theta + 1) for b in _exponents(r, size)]
+    where = {b: i for i, b in enumerate(lattice)}
+    where[(0,) * r] = len(lattice)
+    tops = _exponents(r, theta)
+    width = max(prod(x + 1 for x in a) for a in tops)
+    rows = np.full((len(tops), width), len(lattice))
+    signs = np.zeros((len(tops), width))
+    for i, a in enumerate(tops):
+        for j, b in enumerate(product(*(range(x + 1) for x in a))):
+            rows[i, j] = where[b]
+            signs[i, j] = (-1) ** (theta - sum(b)) * prod(map(comb, a, b))
+    scale = [1 / (factorial(theta) * prod(map(factorial, a))) for a in tops]
+    return np.array(lattice, dtype=float), rows, signs, np.array(tops), np.array(scale)
 
 
 def mixed_invariant(rho: np.ndarray, index) -> float:
-    """The lifted invariant hatJ_index evaluated on a density matrix."""
+    """The lifted invariant hatJ_index evaluated on a Hermitian matrix."""
     bits = parse_index(index)
     n = len(bits)
     rho = np.asarray(rho, dtype=complex)
     if sites_of(rho) != n:
         raise ValueError(f"density matrix has {sites_of(rho)} sites, index has {n}")
+    rho = _hermitian(rho, "density matrix")
     theta = sum(bits)
     if theta == 1:
         return float(np.trace(rho).real)
-    total = 0j
-    for weight, poly in invariant_pieces(bits):
-        coeffs, idx = poly.compiled()
-        gathered = [
-            [rho[np.ix_(idx[:, r], idx[:, s])] for s in range(theta)]
-            for r in range(theta)
-        ]
-        acc = 0j
-        for sigma in permutations(range(theta)):
-            h = gathered[0][sigma[0]]
-            for r in range(1, theta):
-                h = h * gathered[r][sigma[r]]
-            acc += coeffs @ h @ coeffs.conj()
-        total += weight * acc / factorial(theta)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
-        raise ValueError(f"lifted invariant has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    lam, vecs = np.linalg.eigh(rho)
+    keep = np.abs(lam) > EIGENVALUE_FLOOR * np.abs(lam).max()
+    if not keep.any():
+        return 0.0
+    lam, vecs = lam[keep], vecs[:, keep]
+    weights = grid_weights(bits)
+    size = 16 * comb(len(lam) + theta, theta) * weights.size
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"lift of {index_str(bits)} at rank {len(lam)} needs {size} bytes of grid "
+            f"coefficients, over the cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
+        )
+    lattice, rows, signs, tops, scale = _lift_plan(len(lam), theta)
+    c = np.zeros((len(lattice) + 1, weights.size), dtype=complex)
+    for s0, block in grid_coefficients(lattice @ vecs.T, bits):
+        c[s0 : s0 + len(block)] = block
+    diff = sum(signs[:, j, None] * c[rows[:, j]] for j in range(rows.shape[1]))
+    per_a = ((diff.real**2 + diff.imag**2) * weights).sum(axis=1)
+    return float((scale * np.prod(lam**tops, axis=1)) @ per_a)
 
 
 def padded_index(n: int, trace_out, kept_index) -> tuple[int, ...]:
     """The index on all n sites that carries `kept_index` on the sites not
     in `trace_out`, in order, and 0 on the traced sites."""
-    traced = sorted(set(int(s) for s in trace_out))
-    if traced and (traced[0] < 1 or traced[-1] > n):
-        raise ValueError(f"traced sites {traced} outside 1..{n}")
-    kept = [s for s in range(1, n + 1) if s not in traced]
+    kept, _ = split_sites(trace_out, n)
     kept_bits = parse_index(kept_index)
     if len(kept_bits) != len(kept):
         raise ValueError(
@@ -109,8 +153,7 @@ def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[f
     hatJ of the kept index at the reduced density matrix).
     """
     full = padded_index(psi.n, trace_out, kept_index)
-    traced = set(int(s) for s in trace_out)
-    kept = [s for s in range(1, psi.n + 1) if s not in traced]
+    kept, _ = split_sites(trace_out, psi.n)
     i_val = cumulant_invariant(psi, full)
     return i_val, mixed_invariant(reduced_state(psi, kept), kept_index)
 
@@ -149,9 +192,6 @@ def zhou_m(psi: AlgebraElement, index) -> float:
     if len(kept) < 2:
         raise ValueError("correlation measure needs at least two support sites")
     rc = zhou_cumulant(reduced_state(psi, kept))
-    asym = np.abs(rc - rc.conj().T).max()
-    if asym > 1e-10 * max(1.0, float(np.abs(rc).max())):
-        raise ValueError(f"cumulant operator not Hermitian, residue {asym:.3e}")
-    evals = np.linalg.eigvalsh((rc + rc.conj().T) / 2)
+    evals = np.linalg.eigvalsh(_hermitian(rc, "cumulant operator"))
     evals[np.abs(evals) <= EIGENVALUE_FLOOR] = 0.0
     return float(0.5 * np.abs(evals).sum())

@@ -30,7 +30,6 @@ from .algebra import (
     tensor,
 )
 from .cumulants import (
-    cumulant_poly,
     cumulant_table,
     dimension_counts,
     set_partitions,
@@ -40,6 +39,7 @@ from .haar import haar_su2, moment_battery, register_twirl_estimate, twirl_estim
 from .invariants import (
     check_relations,
     cumulant_invariant,
+    evaluate_d,
     invariant_family,
     jacobian_rank,
 )
@@ -125,7 +125,10 @@ def criterion_02_cumulant_consistency() -> CriterionResult:
         for flat in range(1, 2**n):
             bits = digits_of(flat, n, 2)
             theta = sum(bits)
-            d_val = cumulant_poly(bits).evaluate(psi)
+            supp = [p for p in range(1, n + 1) if bits[p - 1]]
+            rows = [sum(1 << (n - p) for i, p in enumerate(supp) if r >> i & 1)
+                    for r in range(2**theta)]
+            d_val = evaluate_d(psi.coeffs[rows, None])[0]
             resid = abs(d_val - a0**theta * table[flat]) / max(1.0, abs(d_val))
             worst = max(worst, resid)
     return CriterionResult(

@@ -27,21 +27,25 @@ STATE_KINDS = ("random", "bell", "ghz", "w", "separable")
 MAX_AMPLITUDES = 2**24
 
 
+def parse_sites(text: str, what: str) -> list[int]:
+    """Parse comma-separated site labels like "2,4", naming any token that
+    is not a string of decimal digits as `what`; the range is the caller's."""
+    sites = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok.isdecimal():
+            raise ValueError(f"{what} {tok!r} is not a positive integer")
+        sites.append(int(tok))
+    return sites
+
+
 def parse_partition(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Parse a partition like "1,2|3" into blocks of site labels.
 
     Blocks are separated by '|', sites within a block by ','.  The
     blocks must cover {1..n} exactly once (see `check_partition`).
     """
-    blocks = []
-    for part in text.split("|"):
-        block = []
-        for tok in part.split(","):
-            tok = tok.strip()
-            if not tok.isdecimal():
-                raise ValueError(f"partition site {tok!r} is not a positive integer")
-            block.append(int(tok))
-        blocks.append(block)
+    blocks = [parse_sites(part, "partition site") for part in text.split("|")]
     return check_partition(blocks, n)
 
 

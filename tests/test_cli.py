@@ -137,6 +137,19 @@ class TestLiftCommand:
         assert doc["difference"] == pytest.approx(1 / 16, abs=1e-12)
 
 
+    @pytest.mark.parametrize("token,named", [
+        ("\u00b2", "traced site '\u00b2' is not a positive integer"),
+        ("0", "traced sites [0] outside 1..3"),
+        ("2,4", "traced sites [2, 4] outside 1..3"),
+    ], ids=["superscript-two", "zero", "out-of-range"])
+    def test_bad_traced_site_named(self, ghz_file, capsys, token, named):
+        code, doc = run_command(
+            ["lift", "--state", ghz_file, "--trace-out", token, "--index", "11"]
+        )
+        assert (code, doc) == (2, None)
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+
 class TestZhouCommand:
     def test_ghz_value(self, ghz_file):
         code, doc = run_command(["zhou", "--state", ghz_file, "--index", "111"])

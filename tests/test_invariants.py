@@ -1,6 +1,7 @@
 """Closed-form invariant values, family layout, Sudbery relations, Jacobian."""
 
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from luinv import invariants
 from luinv.algebra import AlgebraElement, apply_local, permute_sites, tensor
+from luinv.cli import run_command
 from luinv.cumulants import APolynomial, cumulant_poly, index_str, splitting_indices
+from luinv.density import reduced_state
 from luinv.haar import haar_su2, twirl_estimate
 from luinv.invariants import (
     CHUNK,
@@ -26,9 +29,11 @@ from luinv.invariants import (
     sudbery_j,
     total_invariant_count,
 )
-from luinv.mixed import invariant_pieces
+from luinv.mixed import lifted_invariant_pair, mixed_invariant
+from luinv.states import save_state
 
 from conftest import gaussian_state
+from lift_oracle import invariant_pieces
 
 # Deterministic examples, no example database written next to the tests.
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -334,13 +339,25 @@ class TestDKernel:
             assert evaluate_d(support_table(w, (1,) * n))[0] == want
 
 
+@contextmanager
+def symbolic_d_refused(monkeypatch):
+    """Building or evaluating d as a dict polynomial raises inside."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic d on the production path")
+
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "luinv" and hasattr(module, "cumulant_poly"):
+                m.setattr(module, "cumulant_poly", refuse)
+        m.setattr(APolynomial, "compiled", refuse)
+        m.setattr(APolynomial, "evaluate_batch", refuse)
+        yield
+
+
 class TestProductionPath:
-    """The grid and the twirl never build d symbolically."""
+    """The grid, the twirl and the lift never build d symbolically."""
 
     def test_family_and_twirl_bit_for_bit(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("symbolic d on the production path")
-
         rng = np.random.default_rng(90)
         states = {n: gaussian_state(rng, n) for n in range(2, 6)}
 
@@ -352,12 +369,29 @@ class TestProductionPath:
             return family, twirls
 
         # the patched run goes first, so no cache of the unpatched one serves it
-        with monkeypatch.context() as m:
-            for name, module in list(sys.modules.items()):
-                if name.split(".")[0] == "luinv" and hasattr(module, "cumulant_poly"):
-                    m.setattr(module, "cumulant_poly", refuse)
-            m.setattr(APolynomial, "compiled", refuse)
+        with symbolic_d_refused(monkeypatch):
             got = values()
+        assert got == values()
+
+    def test_lift_bit_for_bit(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(91)
+        psi = gaussian_state(rng, 5)
+        path = tmp_path / "psi.json"
+        save_state(psi, path)
+        rho = reduced_state(psi, [1, 2, 4])
+
+        def values():
+            return (
+                lifted_invariant_pair(psi, [3], "1111"),
+                lifted_invariant_pair(psi, [2, 5], "111"),
+                mixed_invariant(rho, "101"),
+                run_command(["lift", "--state", str(path), "--trace-out", "5",
+                             "--index", "1101"]),
+            )
+
+        with symbolic_d_refused(monkeypatch):
+            got = values()
+        assert got[3][0] == 0
         assert got == values()
 
 

@@ -1,5 +1,7 @@
 """Density matrices, mixed-state lifts, and the trace-norm cumulant invariant."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from luinv.algebra import AlgebraElement, permute_sites, tensor
 from luinv import density, mixed
 from luinv.density import density_matrix, partial_trace, reduced_state, sites_of
 from luinv.haar import register_twirl_estimate
-from luinv.invariants import cumulant_invariant
+from luinv.invariants import cumulant_invariant, invariant_family
 from luinv.mixed import (
     EIGENVALUE_FLOOR,
     lifted_invariant_pair,
@@ -18,6 +20,7 @@ from luinv.mixed import (
 )
 
 from conftest import gaussian_state
+from lift_oracle import literal_lift
 
 
 def bell():
@@ -192,6 +195,90 @@ class TestMixedLift:
             assert abs(j_val - j_ref) <= 1e-14 * max(1.0, abs(j_ref))
         for psi, index, m_ref in zhous:
             assert abs(zhou_m(psi, index) - m_ref) <= 1e-14 * max(1.0, m_ref)
+
+
+def assert_lift_matches(rho, index):
+    want = literal_lift(rho, index)
+    assert abs(mixed_invariant(rho, index) - want) <= 1e-10 * max(1.0, abs(want)), index
+
+
+# (n, traced count, kept indices): reduced states of random pure states
+REDUCED_CASES = [
+    (3, 1, ("11",)),
+    (4, 1, ("111", "101")),
+    (4, 2, ("11",)),
+    (5, 1, ("1111", "1011")),
+    (5, 2, ("111", "110")),
+    (5, 3, ("11",)),
+    (6, 1, ("11100", "10101")),
+    (6, 2, ("1111", "0111")),
+    (6, 3, ("111", "011")),
+]
+
+
+class TestAgainstLiteralLift:
+    """The lift by Wick's identity against the theta! permutation sum."""
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(20)
+        for n, index in ((2, "11"), (3, "111"), (3, "101"), (4, "1101"), (4, "1111")):
+            assert_lift_matches(density_matrix(gaussian_state(rng, n)), index)
+
+    @pytest.mark.parametrize("n,k,indices", REDUCED_CASES)
+    def test_reduced_states(self, n, k, indices):
+        rng = np.random.default_rng(10 * n + k)
+        psi = gaussian_state(rng, n)
+        traced = sorted(int(s) for s in rng.choice(np.arange(1, n + 1), k, replace=False))
+        rho = reduced_state(psi, [s for s in range(1, n + 1) if s not in traced])
+        for index in indices:
+            assert_lift_matches(rho, index)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_full_rank_and_indefinite(self, m):
+        rng = np.random.default_rng(30 + m)
+        x = rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m))
+        psd = x @ x.conj().T / 2**m
+        # traceless and nonzero, so it has eigenvalues of both signs
+        indefinite = (x + x.conj().T) / 2 - np.trace(x).real / 2**m * np.eye(2**m)
+        assert np.linalg.eigvalsh(indefinite).min() < 0 < np.linalg.eigvalsh(indefinite).max()
+        for bits in invariant_family(m):
+            assert_lift_matches(psd, bits)
+            assert_lift_matches(indefinite, bits)
+
+    def test_maximally_mixed_and_zero(self):
+        for index in ("11", "10", "01"):
+            assert_lift_matches(np.eye(4) / 4, index)
+        assert mixed_invariant(np.zeros((4, 4)), "11") == 0.0
+
+    def test_lattice_over_the_cap_refused(self):
+        # rank 64 at theta = 4: C(68, 4) lattice states of 2,025 coefficients
+        with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
+            mixed_invariant(np.eye(64) / 64, "111100")
+
+    def test_non_hermitian_refused(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 0.1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mixed_invariant(rho, "11")
+
+    def test_theta_five_single_trace(self):
+        # the theta! permutation lift took about 100 s here
+        psi = gaussian_state(np.random.default_rng(6), 6)
+        start = time.perf_counter()
+        closed, lifted = lifted_invariant_pair(psi, [6], "11111")
+        assert time.perf_counter() - start < 5.0
+        assert closed == cumulant_invariant(psi, "111110")
+        assert abs(lifted - closed) <= 1e-10 * max(1.0, closed)
+
+    def test_traced_sites_checked_alike(self):
+        psi = gaussian_state(np.random.default_rng(9), 3)
+        for call in (
+            lambda: padded_index(3, [4], "11"),
+            lambda: lifted_invariant_pair(psi, [0, 2], "11"),
+            lambda: register_twirl_estimate(psi, [4], "11", samples=10),
+        ):
+            with pytest.raises(ValueError, match=r"traced sites \[.*\] outside 1\.\.3"):
+                call()
 
 
 class TestZhou:

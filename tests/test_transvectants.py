@@ -23,6 +23,7 @@ from luinv.transvectants import (
 )
 
 from conftest import gaussian_state
+from lift_oracle import raised
 
 
 def ghz3():
@@ -201,8 +202,8 @@ class TestTransvectant:
         # entry j at site 3 is the coefficient of x0^(2-j) x1^j
         expected = [
             2 * d.evaluate(psi),
-            2 * d.raised(3, 1).evaluate(psi),
-            2 * d.raised(3, 2).evaluate(psi),
+            2 * raised(d, 3, 1).evaluate(psi),
+            2 * raised(d, 3, 2).evaluate(psi),
         ]
         assert p.shape == (1, 1, 3)
         for j, val in enumerate(expected):
