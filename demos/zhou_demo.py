@@ -4,6 +4,12 @@ The trace-norm correlation measure
 
 The cumulant operator rho_c of a density matrix is the
 partition-alternating sum of tensor products of its reduced states.
+luinv computes it by the moment-cumulant recursion over subsets,
+kappa_S = rho_S - sum_B kappa_B (x) rho_(S-B), instead of the Bell(n)
+partitions: on a 2-core VM `zhou_m` on all sites of a random state
+takes 0.034 s at n = 7, 0.17 s at n = 8, 1.4 s at n = 9 and 12.9 s at
+n = 10.  The table of reduced states, 16 * 5^n bytes, caps it at
+n = 11 (invariants.MAX_TABLE_BYTES); n = 12 is refused.
 Half its trace norm, M = tr|rho_c| / 2, vanishes exactly on products
 and is a genuinely different quantity from the polynomial invariants:
 on two qubits it is the function I + sqrt(I) of the single invariant,

@@ -8,11 +8,17 @@ raw material for the closed-form local-unitary invariants, but
 `invariants` and `mixed` sample d on grids instead of expanding it, so
 `cumulant_poly` is a symbolic view only.
 
+`subset_splits` is the one schedule of the moment-cumulant recursion over
+subsets, which replaces the partition sum wherever a cumulant is
+computed: `invariants.evaluate_d` runs it on amplitudes and
+`mixed.zhou_cumulant` on reduced density matrices.
+
 Only local dimension 2 is supported here; amplitude words are bit words.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import factorial
 from typing import Iterable, Sequence
@@ -77,6 +83,18 @@ def set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
 
     rec(1, 0)
     return out
+
+
+@lru_cache(maxsize=None)
+def subset_splits(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The schedule of the moment-cumulant recursion over k elements.
+
+    Every (S, B, S - B) with S an odd mask in increasing order and B an odd
+    proper submask of S, in increasing order of B: the cumulant on S is the
+    moment on S less the sum of cumulant_B times moment_{S-B}.
+    """
+    return tuple((s, b, s ^ b) for s in range(3, 1 << k, 2)
+                 for b in range(1, s, 2) if b & s == b)
 
 
 def partitions_of(elems: Sequence[int]):

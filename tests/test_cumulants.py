@@ -13,6 +13,7 @@ from luinv.cumulants import (
     set_partitions,
     splits_partition,
     splitting_indices,
+    subset_splits,
     support,
 )
 from luinv.haar import twirl_estimate
@@ -70,6 +71,19 @@ def test_set_partition_order_and_blocks():
     # every partition covers the ground set with disjoint blocks
     for blocks in set_partitions(4):
         assert sorted(x for b in blocks for x in b) == [1, 2, 3, 4]
+
+
+def test_subset_splits_schedule():
+    # every odd S with every odd proper submask B, S then B increasing
+    def sites(mask):
+        return {i for i in range(8) if mask >> i & 1}
+
+    for k in range(1, 7):
+        want = [(s, b, s - b) for s in range(2**k) for b in range(2**k)
+                if 0 in sites(b) and sites(b) < sites(s)]
+        assert list(subset_splits(k)) == want
+    assert subset_splits(3) == ((3, 1, 2), (5, 1, 4), (7, 1, 6), (7, 3, 4), (7, 5, 2))
+    assert len(subset_splits(8)) == 3**7 - 2**7
 
 
 def test_set_partition_guard():

@@ -1,12 +1,14 @@
 """Density matrices, mixed-state lifts, and the trace-norm cumulant invariant."""
 
 import time
+from math import factorial
 
 import numpy as np
 import pytest
 
 from luinv.algebra import AlgebraElement, permute_sites, tensor
 from luinv import density, mixed
+from luinv.cumulants import set_partitions
 from luinv.density import density_matrix, partial_trace, reduced_state, sites_of
 from luinv.haar import register_twirl_estimate
 from luinv.invariants import cumulant_invariant, invariant_family
@@ -54,6 +56,28 @@ def brute_partial_trace(rho, keep, n):
     return t.reshape(2**m, 2**m)
 
 
+def partition_sum_zhou(rho):
+    """The literal cumulant operator, in the dtype of rho: the sum over set
+    partitions of (-1)^(blocks-1) (blocks-1)! times the tensor product of
+    the reduced states on the blocks, reassembled in site order."""
+    n = sites_of(rho)
+    total = np.zeros((2,) * (2 * n), dtype=rho.dtype)
+    for blocks in set_partitions(n):
+        operands = []
+        for block in blocks:
+            sub = brute_partial_trace(rho, block, n).reshape((2,) * (2 * len(block)))
+            operands += [sub, [s - 1 for s in block] + [n + s - 1 for s in block]]
+        weight = (-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1)
+        total += weight * np.einsum(*operands, list(range(2 * n)))
+    return total.reshape(rho.shape)
+
+
+def random_mixed(rng, n):
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestDensity:
     def test_outer_product(self):
         psi = gaussian_state(np.random.default_rng(0), 2)
@@ -87,6 +111,12 @@ class TestDensity:
             ref = brute_partial_trace(rho, keep, 4)
             assert np.allclose(mine, ref, atol=1e-14)
             assert np.trace(mine) == pytest.approx(1.0, abs=1e-12)
+
+    def test_partial_trace_keeping_every_site_is_a_copy(self):
+        rho = density_matrix(ghz3())
+        kept = partial_trace(rho, [1, 2, 3])
+        assert not np.shares_memory(kept, rho)
+        assert np.array_equal(kept, rho)
 
     def test_reduced_state_against_partial_trace(self):
         psi = gaussian_state(np.random.default_rng(4), 5)
@@ -321,6 +351,37 @@ class TestZhou:
                     val = val * reduced[block][bi, bj]
                 ref[i, j] += val
         assert np.allclose(zhou_cumulant(rho), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_against_partition_sum(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            rho = random_mixed(rng, n)
+            ref = partition_sum_zhou(rho)
+            assert np.abs(zhou_cumulant(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_long_double_reference(self):
+        # the recursion keeps the digits that the partition sum's
+        # cancellation loses
+        rho = random_mixed(np.random.default_rng(5), 5)
+        ref = partition_sum_zhou(rho.astype(np.clongdouble))
+        err = np.abs(zhou_cumulant(rho) - ref).max() / np.abs(ref).max()
+        assert float(err) <= 1e-14
+
+    def test_input_unchanged(self):
+        rho = random_mixed(np.random.default_rng(6), 4)
+        before = rho.copy()
+        zhou_cumulant(rho)
+        assert np.array_equal(rho, before)
+
+    def test_subset_table_over_the_cap_refused(self, monkeypatch):
+        # the table of three sites, 16 * 5^3 bytes, one byte over a lowered
+        # cap; n = 12 under the real cap is the CLI test's
+        monkeypatch.setattr(mixed, "MAX_TABLE_BYTES", 16 * 5**3 - 1)
+        zhou_cumulant(density_matrix(bell()))
+        with pytest.raises(ValueError, match=r"needs a subset table of 2000 bytes, over the "
+                                             r"cap of 1999 \(invariants\.MAX_TABLE_BYTES\)"):
+            zhou_cumulant(density_matrix(ghz3()))
 
     def test_m11_bell(self):
         assert zhou_m(bell(), "11") == pytest.approx(0.75, abs=1e-12)
