@@ -13,12 +13,21 @@ digit pair (a0, a1) to u a0 + v a1 and halves the table.  The 1-sites
 are then rotated in full by broadcast multiply-adds, leaving the 2^theta
 support table, on which d is evaluated by `invariants.evaluate_d`, the
 same kernel the closed-form grid uses: the moment-cumulant recursion over
-the subsets of the support, which reads only the table.  The SU(2)s
-are still drawn in site order, one per site per chunk, so the RNG stream
-for a given (seed, samples) is that of the full rotation.  The mean and
-the sum of squared deviations are kept per chunk and combined chunk by
-chunk (Chan, Golub & LeVeque 1979), so memory does not grow with
-`samples`; MAX_SAMPLES bounds the time instead.
+the subsets of the support, which reads only the table.
+
+Chunk k of CHUNK samples draws from the k-th jump of the seed's Philox
+stream (chunk 0 from the unjumped one), so any chunk can be reproduced
+without the others (Salmon et al., SC'11).  A chunk draws the SU(2)s of
+all its samples in site order, one per site, then projects, rotates and
+evaluates d BLOCK columns at a time.  The chunks of one estimate run on
+a thread pool of WORKERS threads, as many as the process may use cores,
+and their mean and sum of squared deviations are combined in chunk
+order (Chan, Golub & LeVeque 1979).  So the bits for a given (seed,
+samples) do not depend on the core count, memory does not grow with
+`samples`, and MAX_SAMPLES bounds the time instead.  A twirl whose
+chunk (drawn rows and widest block table) and cached subset schedule
+would pass invariants.MAX_TABLE_BYTES is refused before it draws, and
+fewer chunks run at once when theirs would pass it together.
 
 The register twirl is the oracle for the mixed lift through a partial
 trace: the kept sites get independent SU(2)s and the traced sites,
@@ -32,27 +41,40 @@ D = 2, the SU(2) rows (u, v).
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from math import comb, prod, sqrt
 
 import numpy as np
 
-from .cumulants import parse_index, qubit_amps
+from .cumulants import parse_index, qubit_amps, subset_splits
 from .density import split_sites
-from .invariants import evaluate_d, gamma_factor
+from .invariants import MAX_TABLE_BYTES, evaluate_d, gamma_factor
 
-# Samples are processed in fixed-size chunks; the RNG stream, and hence
-# the estimate for a given (seed, samples), does not depend on anything else.
+# Samples are processed in fixed-size chunks, chunk k drawn from the k-th
+# jump of the seed's Philox stream; the estimate for a given (seed, samples)
+# does not depend on anything else, the number of workers included.
 CHUNK = 20_000
+
+# Columns of a chunk rotated and evaluated at a time, which bounds the
+# scratch memory of a chunk in flight.
+BLOCK = 4096
+
+# Chunks run at most this many at a time, one per usable core.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:  # no affinity call off Linux
+    WORKERS = os.cpu_count() or 1
 
 # Largest number of samples one twirl accepts.  Memory no longer bounds a
 # request, so this bounds its time instead.
 MAX_SAMPLES = 10**9
 
 
-def _rng_for(seed: int) -> np.random.Generator:
+def _rng_for(seed: int, jumps: int = 0) -> np.random.Generator:
     # counter-based generator, cheap to reproduce and safe to jump
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(jumps))
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:
@@ -95,6 +117,75 @@ class TwirlEstimate:
     seed: int
 
 
+def _chunk_stats(amps, bits, register, seed, k, b):
+    """(b, mean, sum of squared deviations) of |d_bits|^2 over chunk k: b
+    samples drawn from the k-th jump of the Philox stream of `seed`.
+
+    The rows of every site are drawn for all b samples, in site order; the
+    projection, the rotations and d then run BLOCK columns at a time.
+    It may run in a worker thread, so it calls only haar_su2_rows,
+    _sphere_rows and evaluate_d: perfbench's tracer keeps one span stack.
+    """
+    rng = _rng_for(seed, k)
+    n = len(bits)
+    free = n - register
+    # 0-sites latest first, so the sites before each keep their axes.
+    zeros = [p for p in range(free, 0, -1) if not bits[p - 1]]
+    ones = [p for p in range(1, free + 1) if bits[p - 1]]
+    rows = [haar_su2_rows(rng, b) for _ in range(free)]
+    if register:
+        row0 = _sphere_rows(rng, b, 2**register)
+    vals = np.empty(b)
+    for c0 in range(0, b, BLOCK):
+        cols = slice(c0, c0 + BLOCK)
+        # Axes of t: the sites, site 1 first, then the sample, of length 1
+        # until a rotation broadcasts it.
+        if register:
+            t = amps.reshape((2,) * free + (2**register,)) @ row0[cols].T
+        else:
+            t = amps.reshape((2,) * n + (1,))
+        for p in zeros:
+            u, v = (r[cols] for r in rows[p - 1])
+            at = (slice(None),) * (p - 1)
+            t = u * t[at + (0,)] + v * t[at + (1,)]
+        # Now the axes are the support sites; each rotated 1-site moves to
+        # the front, so the first support site ends least significant.
+        for i, p in enumerate(ones):
+            u, v = (r[cols] for r in rows[p - 1])
+            at = (slice(None),) * i
+            a0, a1 = t[at + (0,)], t[at + (1,)]
+            t = np.empty((2,) + a0.shape[:-1] + u.shape, dtype=complex)
+            np.multiply(a0, u, out=t[0])
+            t[0] += v * a1
+            np.multiply(a1, u.conj(), out=t[1])
+            t[1] -= v.conj() * a0
+        d = evaluate_d(t.reshape(2 ** len(ones), -1))
+        vals[cols] = d.real**2 + d.imag**2
+    mean = vals.mean()
+    return b, mean, ((vals - mean) ** 2).sum()
+
+
+def _chunk_results(amps, bits, register, seed, sizes, workers):
+    """Yield `_chunk_stats` of every chunk in chunk order, running up to
+    `workers` chunks at a time; numpy releases the GIL in the draws and
+    the wide ufuncs."""
+    if workers == 1:
+        for k, b in enumerate(sizes):
+            yield _chunk_stats(amps, bits, register, seed, k, b)
+        return
+    # imported here: it costs a cold single-chunk run about 9 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for k, b in enumerate(sizes):
+            pending.append(pool.submit(_chunk_stats, amps, bits, register, seed, k, b))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
     """Average gamma * |d_bits|^2 over an SU(2) on each of the first
     n - register sites and one U(2^register) on the remaining sites,
@@ -106,44 +197,33 @@ def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
             f"samples = {samples} exceeds the cap of {MAX_SAMPLES} (haar.MAX_SAMPLES)"
         )
     n = len(bits)
-    free = n - register
-    # 0-sites latest first, so the sites before each keep their axes.
-    zeros = [p for p in range(free, 0, -1) if not bits[p - 1]]
-    ones = [p for p in range(1, free + 1) if bits[p - 1]]
-    rng = _rng_for(seed)
+    theta = sum(bits)
+    sizes = [min(CHUNK, samples - done) for done in range(0, samples, CHUNK)]
+    # A chunk in flight holds its drawn rows, two numbers per site and 2^k
+    # for the register, and the widest table of a block, which comes from
+    # the first step that carries the sample axis: the register's row 0,
+    # else the projection of the last 0-site, else the last rotation.
+    if register:
+        drawn, rows = 2 * (n - register) + 2**register, 2 ** (n - register)
+    else:
+        drawn, rows = 2 * n, 2 ** (n - 1) if theta < n else 2**n
+    chunk = 16 * (drawn * sizes[0] + rows * min(BLOCK, sizes[0]))
+    schedule = 130 * 3 ** (theta - 1)  # the cached subset_splits(theta), ~130 B a triple
+    if chunk + schedule > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"twirl of theta = {theta} over {n} sites needs {chunk} bytes per chunk "
+            f"and {schedule} for the subset schedule, over the cap of {MAX_TABLE_BYTES} "
+            "(invariants.MAX_TABLE_BYTES)"
+        )
+    # Fewer chunks in flight when their tables would pass the cap together.
+    workers = min(WORKERS, len(sizes), (MAX_TABLE_BYTES - schedule) // chunk)
+    subset_splits(theta)  # cached before the workers start, so none builds it twice
     count, mean, m2 = 0, 0.0, 0.0
-    for done in range(0, samples, CHUNK):
-        b = min(CHUNK, samples - done)
-        rows = [haar_su2_rows(rng, b) for _ in range(free)]
-        # Axes of t: the sites, site 1 first, then the sample, of length 1
-        # until a rotation broadcasts it.
-        if register:
-            row0 = _sphere_rows(rng, b, 2**register)
-            t = amps.reshape((2,) * free + (2**register,)) @ row0.T
-        else:
-            t = amps.reshape((2,) * n + (1,))
-        for p in zeros:
-            u, v = rows[p - 1]
-            at = (slice(None),) * (p - 1)
-            t = u * t[at + (0,)] + v * t[at + (1,)]
-        # Now the axes are the support sites; each rotated 1-site moves to
-        # the front, so the first support site ends least significant.
-        for i, p in enumerate(ones):
-            u, v = rows[p - 1]
-            at = (slice(None),) * i
-            a0, a1 = t[at + (0,)], t[at + (1,)]
-            t = np.empty((2,) + a0.shape[:-1] + (b,), dtype=complex)
-            np.multiply(a0, u, out=t[0])
-            t[0] += v * a1
-            np.multiply(a1, u.conj(), out=t[1])
-            t[1] -= v.conj() * a0
-        d = evaluate_d(t.reshape(2 ** len(ones), b))
-        vals = d.real**2 + d.imag**2
-        chunk_mean = vals.mean()
+    for b, chunk_mean, chunk_m2 in _chunk_results(amps, bits, register, seed, sizes, workers):
         delta = chunk_mean - mean
         total = count + b
         mean += delta * b / total
-        m2 += ((vals - chunk_mean) ** 2).sum() + delta**2 * count * b / total
+        m2 += chunk_m2 + delta**2 * count * b / total
         count = total
     sem = gamma * sqrt(m2 / (samples - 1)) / sqrt(samples)
     return TwirlEstimate(

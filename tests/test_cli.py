@@ -407,6 +407,25 @@ class TestProcess:
         err = run.stderr.decode()
         assert "MAX_TABLE_BYTES" in err and str(MAX_TABLE_BYTES) in err
 
+    def test_twirl_table_cap_refused_at_once(self, tmp_path):
+        # theta = 14: 1 GiB of table per chunk and about 200 MB of schedule
+        state = tmp_path / "random14.json"
+        save_state(generate_state("random", 14, seed=14), state)
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "luinv", "twirl", "--state", str(state),
+             "--index", "1" * 14],
+            capture_output=True, env=dict(os.environ), timeout=60, preexec_fn=limit_memory,
+        )
+        assert time.monotonic() - start < 5
+        assert run.returncode == 2 and run.stdout == b""
+        err = run.stderr.decode()
+        assert "MAX_TABLE_BYTES" in err and str(MAX_TABLE_BYTES) in err
+
     def test_import_does_not_load_scipy(self):
         probe = "import sys, luinv; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         run = subprocess.run(

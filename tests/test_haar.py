@@ -1,12 +1,16 @@
 """Haar sampling, moment battery, and the twirl estimator."""
 
+import threading
 from math import comb, prod, sqrt
 
 import numpy as np
 import pytest
 
+from luinv import haar
+from luinv.cli import run_command
 from luinv.cumulants import cumulant_poly, index_str, parse_index
 from luinv.haar import (
+    BLOCK,
     CHUNK,
     TwirlEstimate,
     _rng_for,
@@ -19,6 +23,7 @@ from luinv.haar import (
     twirl_estimate,
 )
 from luinv.invariants import cumulant_invariant, gamma_factor, invariant_family
+from luinv.states import save_state
 
 from conftest import gaussian_state
 
@@ -158,15 +163,16 @@ def _completed_unitaries(rows):
 def literal_twirl(amps, bits, gamma, samples, seed, register=0):
     """The twirl as defined: rotate the whole table, one einsum per site and
     a full U(2^register) completed from the drawn row 0, evaluate d term by
-    term, keep every sample."""
+    term, keep every sample.  Chunk k of CHUNK samples draws from the k-th
+    jump of the Philox stream of the seed."""
     n = len(bits)
     free = n - register
     d = cumulant_poly(bits)
-    rng = _rng_for(seed)
     vals = np.empty(samples)
     done = 0
     while done < samples:
         b = min(CHUNK, samples - done)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(done // CHUNK))
         rotated = np.broadcast_to(amps, (b, amps.size)).copy()
         for site in range(1, free + 1):
             rotated = _rotate_batch(rotated, site, n, haar_su2_batch(rng, b))
@@ -197,6 +203,7 @@ def _register_oracle(psi, traced, kept, samples, seed):
 
 
 SAMPLES = CHUNK + 123  # a partial last chunk goes through the combine
+MANY = 3 * CHUNK + 123  # several whole chunks as well, combined in order
 
 
 def _close(new, old, absolute=False):
@@ -234,3 +241,97 @@ class TestAgainstLiteralTwirl:
         est = register_twirl_estimate(psi, traced, kept, samples=SAMPLES, seed=seed)
         mean, se = _register_oracle(psi, traced, kept, SAMPLES, seed)
         assert _close(est.mean, mean) and _close(est.std_error, se)
+
+    def test_many_chunks(self):
+        psi = gaussian_state(np.random.default_rng(24), 4)
+        est = twirl_estimate(psi, "1101", samples=MANY, seed=33)
+        mean, se = literal_twirl(psi.coeffs, (1, 1, 0, 1), gamma_factor(4, 3), MANY, 33)
+        assert _close(est.mean, mean) and _close(est.std_error, se)
+        est = register_twirl_estimate(psi, (1, 3), "11", samples=MANY, seed=53)
+        mean, se = _register_oracle(psi, (1, 3), "11", MANY, 53)
+        assert _close(est.mean, mean) and _close(est.std_error, se)
+
+
+def _both_twirls(samples):
+    psi = gaussian_state(np.random.default_rng(60), 4)
+    return (
+        twirl_estimate(psi, "1110", samples=samples, seed=61),
+        register_twirl_estimate(psi, (2, 4), "11", samples=samples, seed=62),
+    )
+
+
+class TestChunkedRun:
+    """The chunks run on every core; what they return does not depend on it."""
+
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(haar, "WORKERS", workers)
+            runs.append(_both_twirls(MANY))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_single_chunk_bits_pinned(self):
+        # one chunk draws the unjumped stream, as every chunk did before the
+        # chunks had streams of their own: values pinned from that stream
+        psi = gaussian_state(np.random.default_rng(23), 3)
+        site = twirl_estimate(psi, "111", samples=CHUNK, seed=61)
+        assert site.mean.hex() == "0x1.eb3f0383d9c6ep-4"
+        assert site.std_error.hex() == "0x1.8b8ea69490b9bp-11"
+        psi = gaussian_state(np.random.default_rng(44), 4)
+        reg = register_twirl_estimate(psi, (2, 4), "11", samples=CHUNK, seed=62)
+        assert reg.mean.hex() == "0x1.2aeb2fb95dff0p-4"
+        assert reg.std_error.hex() == "0x1.f4485fe2ba9e5p-12"
+
+    def test_worker_error_reaches_the_cli(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "psi.json"
+        save_state(gaussian_state(np.random.default_rng(70), 3), path)
+        chunk_stats = haar._chunk_stats
+
+        def failing(amps, bits, register, seed, k, b):
+            if k == 1:
+                raise MemoryError("Unable to allocate")
+            return chunk_stats(amps, bits, register, seed, k, b)
+
+        monkeypatch.setattr(haar, "WORKERS", 2)
+        monkeypatch.setattr(haar, "_chunk_stats", failing)
+        threads = threading.active_count()
+        code, doc = run_command(["twirl", "--state", str(path), "--index", "111",
+                                 "--samples", str(MANY)])
+        assert code == 2 and doc is None
+        assert "out of memory" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    def test_table_over_the_cap_refused(self, monkeypatch):
+        # 1101 over 4 sites: rows of 2 * 4 numbers for 20,000 samples and
+        # blocks of 2^3 rows (one 0-site projected) by BLOCK columns, then
+        # 130 * 3^2 bytes of schedule; refused before anything is drawn
+        chunk = 16 * (8 * CHUNK + 8 * BLOCK)
+        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", chunk + 130 * 9 - 1)
+        monkeypatch.setattr(haar, "_chunk_stats", None)
+        psi = gaussian_state(np.random.default_rng(71), 4)
+        with pytest.raises(ValueError, match=r"\(invariants\.MAX_TABLE_BYTES\)"):
+            twirl_estimate(psi, "1101", samples=MANY, seed=0)
+        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", chunk + 130 * 9)
+        with pytest.raises(TypeError):  # admitted, and drawing starts
+            twirl_estimate(psi, "1101", samples=MANY, seed=0)
+
+    def test_fewer_chunks_in_flight_under_the_cap(self, monkeypatch):
+        # room for one chunk of 1110 (sized as 1101 above) beside the
+        # schedule, then for two: fewer chunks at a time, the same bits
+        psi = gaussian_state(np.random.default_rng(72), 4)
+        expected = twirl_estimate(psi, "1110", samples=MANY, seed=1)
+        chunk_results = haar._chunk_results
+        seen = []
+
+        def spy(*args):
+            seen.append(args[-1])
+            return chunk_results(*args)
+
+        monkeypatch.setattr(haar, "WORKERS", 3)
+        monkeypatch.setattr(haar, "_chunk_results", spy)
+        two_chunks = 2 * 16 * (8 * CHUNK + 8 * BLOCK)
+        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", two_chunks)
+        assert twirl_estimate(psi, "1110", samples=MANY, seed=1) == expected
+        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", two_chunks + 130 * 9)
+        assert twirl_estimate(psi, "1110", samples=MANY, seed=1) == expected
+        assert seen == [1, 2]
