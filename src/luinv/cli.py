@@ -131,7 +131,7 @@ def _cmd_twirl(args):
     est = twirl_estimate(psi, idx, samples=args.samples, seed=seed)
     closed = cumulant_invariant(psi, idx)
     diff = abs(est.mean - closed)
-    allowed = 5 * est.std_error + 1e-12 * max(1.0, abs(closed))
+    allowed = est.allowance(closed)
     entries = [
         make_entry(index_str(idx), closed, 2 * sum(idx), "closed-form"),
         make_entry(

@@ -180,17 +180,23 @@ class APolynomial:
         return np.prod(amps[:, idx], axis=2) @ coeffs
 
 
-def qubit_amps(state, n: int) -> np.ndarray:
+def qubit_amps(state, n: int | None = None) -> np.ndarray:
     """Flat amplitude table of an n-qubit state, an AlgebraElement with
-    d = 2 or anything numpy reads as 2**n complex numbers."""
+    d = 2 or anything numpy reads as 2**n complex numbers.  With n None,
+    any number of sites >= 1 is accepted and the table's length gives it."""
     if isinstance(state, AlgebraElement):
         if state.d != 2:
             raise ValueError("amplitude tables are defined for qubits only")
-        if state.n != n:
+        if n is not None and state.n != n:
             raise ValueError(f"state has {state.n} sites, expected {n}")
         return state.coeffs
     amps = np.asarray(state, dtype=complex).reshape(-1)
-    if amps.size != 2**n:
+    if n is None:
+        if amps.size < 2 or amps.size & (amps.size - 1):
+            raise ValueError(
+                f"amplitude table has length {amps.size}, not a power of 2 of at least 2"
+            )
+    elif amps.size != 2**n:
         raise ValueError(f"amplitude table has length {amps.size}, expected {2**n}")
     return amps
 

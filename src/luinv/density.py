@@ -1,5 +1,11 @@
 """Density matrices of qubit registers: outer products, reduced states of
-pure states, and partial traces."""
+pure states, and partial traces.
+
+A pure state is anything `cumulants.qubit_amps` reads: an AlgebraElement
+with d = 2, or a flat amplitude table whose length is a power of 2.
+Site lists are 1-based; they are sorted and deduplicated, and a site
+outside 1..n is refused.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .cumulants import qubit_amps
 
 
 def sites_of(rho: np.ndarray) -> int:
@@ -21,45 +27,42 @@ def sites_of(rho: np.ndarray) -> int:
     return n
 
 
-def _amplitudes(psi) -> np.ndarray:
-    if isinstance(psi, AlgebraElement):
-        if psi.d != 2:
-            raise ValueError("density matrices here are for qubit registers")
-        return psi.coeffs
-    return np.asarray(psi, dtype=complex).reshape(-1)
+def _sites(sites: Sequence[int], n: int, what: str) -> list[int]:
+    sites = sorted(set(int(s) for s in sites))
+    if sites and (sites[0] < 1 or sites[-1] > n):
+        raise ValueError(f"{what} sites {sites} outside 1..{n}")
+    return sites
 
 
 def _kept(keep: Sequence[int], n: int) -> list[int]:
-    keep = sorted(set(int(s) for s in keep))
+    keep = _sites(keep, n, "kept")
     if not keep:
         raise ValueError("must keep at least one site")
-    if keep[0] < 1 or keep[-1] > n:
-        raise ValueError(f"kept sites {keep} outside 1..{n}")
     return keep
 
 
 def split_sites(trace_out: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """The kept and the traced sites of an n-site register, each ascending,
     refusing a traced site outside 1..n."""
-    traced = sorted(set(int(s) for s in trace_out))
-    if traced and (traced[0] < 1 or traced[-1] > n):
-        raise ValueError(f"traced sites {traced} outside 1..{n}")
+    traced = _sites(trace_out, n, "traced")
     return [s for s in range(1, n + 1) if s not in traced], traced
 
 
 def density_matrix(psi) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of a pure qubit state."""
-    amps = _amplitudes(psi)
+    amps = qubit_amps(psi)
     return np.outer(amps, amps.conj())
 
 
-def reduced_state(psi: AlgebraElement, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure qubit state on the sites `keep`
-    (1-based, in ascending order): Psi Psi^dagger, with Psi the amplitude
-    tensor reshaped to (kept sites, traced sites).  It equals
-    partial_trace(density_matrix(psi), keep) without the 2^n x 2^n matrix.
+def reduced_state(psi, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a pure qubit state, an AlgebraElement or a
+    flat table, on the sites `keep` (1-based, in ascending order):
+    Psi Psi^dagger, with Psi the amplitude tensor reshaped to (kept sites,
+    traced sites).  It equals partial_trace(density_matrix(psi), keep)
+    without the 2^n x 2^n matrix.
     """
-    amps, n = _amplitudes(psi), psi.n
+    amps = qubit_amps(psi)
+    n = amps.size.bit_length() - 1
     keep = _kept(keep, n)
     order = keep + [s for s in range(1, n + 1) if s not in keep]
     m = amps.reshape((2,) * n).transpose([s - 1 for s in order]).reshape(2 ** len(keep), -1)

@@ -26,8 +26,10 @@ order (Chan, Golub & LeVeque 1979).  So the bits for a given (seed,
 samples) do not depend on the core count, memory does not grow with
 `samples`, and MAX_SAMPLES bounds the time instead.  A twirl whose
 chunk (drawn rows and widest block table) and cached subset schedule
-would pass invariants.MAX_TABLE_BYTES is refused before it draws, and
-fewer chunks run at once when theirs would pass it together.
+would pass invariants.MAX_TABLE_BYTES is refused before it draws, by
+invariants.check_bytes like the grid, the lift and the Zhou operator, and
+fewer chunks run at once when theirs would pass it together.  The cap is
+read when the twirl runs, so lowering that one constant bounds all four.
 
 The register twirl is the oracle for the mixed lift through a partial
 trace: the kept sites get independent SU(2)s and the traced sites,
@@ -50,7 +52,7 @@ import numpy as np
 
 from .cumulants import parse_index, qubit_amps, subset_splits
 from .density import split_sites
-from .invariants import MAX_TABLE_BYTES, evaluate_d, gamma_factor
+from . import invariants
 
 # Samples are processed in fixed-size chunks, chunk k drawn from the k-th
 # jump of the seed's Philox stream; the estimate for a given (seed, samples)
@@ -88,7 +90,11 @@ def _sphere_rows(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
     z = rng.standard_normal((size, 2 * dim))
     # column by column, so the rounding is that of z0^2 + z1^2 + ... in order
     norm = np.sqrt(sum(z[:, j] * z[:, j] for j in range(2 * dim)))
-    return z.view(complex) / norm[:, None]  # entry j is z_2j + i z_2j+1
+    # Entry j is z_2j + i z_2j+1.  numpy divides a complex by a real-valued
+    # complex as a product with the reciprocal (Smith's method with a zero
+    # imaginary part), so scaling the float view by 1 / norm gives the bits
+    # of z.view(complex) / norm without the cast and the complex division.
+    return (z * (1.0 / norm)[:, None]).view(complex)
 
 
 def haar_su2_rows(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +121,12 @@ class TwirlEstimate:
     std_error: float
     samples: int
     seed: int
+
+    def allowance(self, closed: float) -> float:
+        """How far the estimate may sit from the exact value `closed` and
+        still agree: 5 standard errors, with an absolute floor for the
+        zero-variance cases."""
+        return 5 * self.std_error + 1e-12 * max(1.0, abs(closed))
 
 
 def _chunk_stats(amps, bits, register, seed, k, b):
@@ -159,7 +171,7 @@ def _chunk_stats(amps, bits, register, seed, k, b):
             t[0] += v * a1
             np.multiply(a1, u.conj(), out=t[1])
             t[1] -= v.conj() * a0
-        d = evaluate_d(t.reshape(2 ** len(ones), -1))
+        d = invariants.evaluate_d(t.reshape(2 ** len(ones), -1))
         vals[cols] = d.real**2 + d.imag**2
     mean = vals.mean()
     return b, mean, ((vals - mean) ** 2).sum()
@@ -209,14 +221,13 @@ def _twirl(amps, bits, gamma, samples, seed, register=0) -> TwirlEstimate:
         drawn, rows = 2 * n, 2 ** (n - 1) if theta < n else 2**n
     chunk = 16 * (drawn * sizes[0] + rows * min(BLOCK, sizes[0]))
     schedule = 130 * 3 ** (theta - 1)  # the cached subset_splits(theta), ~130 B a triple
-    if chunk + schedule > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"twirl of theta = {theta} over {n} sites needs {chunk} bytes per chunk "
-            f"and {schedule} for the subset schedule, over the cap of {MAX_TABLE_BYTES} "
-            "(invariants.MAX_TABLE_BYTES)"
-        )
+    invariants.check_bytes(
+        chunk + schedule,
+        f"twirl of theta = {theta} over {n} sites needs {chunk} bytes per chunk "
+        f"and {schedule} for the subset schedule",
+    )
     # Fewer chunks in flight when their tables would pass the cap together.
-    workers = min(WORKERS, len(sizes), (MAX_TABLE_BYTES - schedule) // chunk)
+    workers = min(WORKERS, len(sizes), (invariants.MAX_TABLE_BYTES - schedule) // chunk)
     subset_splits(theta)  # cached before the workers start, so none builds it twice
     count, mean, m2 = 0, 0.0, 0.0
     for b, chunk_mean, chunk_m2 in _chunk_results(amps, bits, register, seed, sizes, workers):
@@ -243,7 +254,7 @@ def twirl_estimate(state, index, samples: int = 100_000, seed: int = 0) -> Twirl
     if theta < 2:
         raise ValueError("twirl oracle is defined for indices with theta >= 2")
     amps = qubit_amps(state, n)
-    return _twirl(amps, bits, gamma_factor(n, theta), samples, seed)
+    return _twirl(amps, bits, invariants.gamma_factor(n, theta), samples, seed)
 
 
 def register_twirl_estimate(

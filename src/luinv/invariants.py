@@ -19,7 +19,9 @@ of unity with one axis per site, of length theta+1 at a 0-site and
 theta-1 at a 1-site; the n-D FFT of the samples divided by the grid size
 is every c_k, without aliasing.  The raised amplitudes of one state fill
 a table of 2^theta rows by the grid points; an index whose table exceeds
-MAX_TABLE_BYTES is refused before it is built.  The norm index
+MAX_TABLE_BYTES is refused before it is built.  That one cap, checked by
+`check_bytes`, also bounds the mixed lift, the Zhou operator and the twirl's
+chunks in flight.  The norm index
 (theta = 1) is handled separately: I = <psi|psi>.
 
 d is evaluated on the 2^theta support rows of the table by the
@@ -43,7 +45,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement
 from .cumulants import index_str, parse_index, qubit_amps, subset_splits
 from .density import density_matrix, partial_trace
 
@@ -113,6 +114,15 @@ def _grid_plan(bits: tuple[int, ...]):
     return lengths, roots, _frozen(weights.reshape(-1))
 
 
+def check_bytes(size: int, need: str) -> None:
+    """Refuse a table of `size` bytes over MAX_TABLE_BYTES, read when called;
+    `need` says what needs it.  Every table the package caps comes here."""
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"{need}, over the cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
+        )
+
+
 def check_grid_table(bits: tuple[int, ...]) -> None:
     """Refuse an index whose raised grid table exceeds MAX_TABLE_BYTES.
 
@@ -120,11 +130,7 @@ def check_grid_table(bits: tuple[int, ...]) -> None:
     """
     theta = sum(bits)
     size = 16 * 2**theta * prod(theta - 1 if b else theta + 1 for b in bits)
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"index {index_str(bits)} needs a grid table of {size} bytes, over the "
-            f"cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
-        )
+    check_bytes(size, f"index {index_str(bits)} needs a grid table of {size} bytes")
 
 
 def grid_coefficients(amps: np.ndarray, bits: tuple[int, ...]):
@@ -162,17 +168,9 @@ def grid_weights(bits: tuple[int, ...]) -> np.ndarray:
     return _grid_plan(bits)[2]
 
 
-def _grid_invariants(amps: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    """I_bits for a (B, 2**n) batch, theta >= 2, by sampling F on the grid."""
-    weights = grid_weights(bits)
-    out = np.empty(amps.shape[0])
-    for s0, c in grid_coefficients(amps, bits):
-        out[s0 : s0 + len(c)] = ((c.real**2 + c.imag**2) * weights).sum(axis=1)
-    return np.maximum(out, 0.0)
-
-
 def cumulant_invariant_batch(amps, index) -> np.ndarray:
-    """Values of I_index at a batch of amplitude tables, shape (B, 2**n)."""
+    """Values of I_index at a batch of amplitude tables, shape (B, 2**n);
+    for theta >= 2 by sampling F on the grid."""
     bits = parse_index(index)
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != 2 ** len(bits):
@@ -181,7 +179,11 @@ def cumulant_invariant_batch(amps, index) -> np.ndarray:
         )
     if sum(bits) == 1:
         return np.array([np.vdot(a, a).real for a in amps])
-    return _grid_invariants(amps, bits)
+    weights = grid_weights(bits)
+    out = np.empty(amps.shape[0])
+    for s0, c in grid_coefficients(amps, bits):
+        out[s0 : s0 + len(c)] = ((c.real**2 + c.imag**2) * weights).sum(axis=1)
+    return np.maximum(out, 0.0)
 
 
 def cumulant_invariant(state, index) -> float:
@@ -276,14 +278,9 @@ def invariant_jacobian(
     coordinates (re, im of every amplitude), by central differences."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if isinstance(state, AlgebraElement):
-        amps = state.coeffs
-        n = state.n
-    else:
-        amps = np.asarray(state, dtype=complex).reshape(-1)
-        n = int(round(np.log2(amps.size)))
+    amps = qubit_amps(state)
     if indices is None:
-        indices = invariant_family(n)
+        indices = invariant_family(amps.size.bit_length() - 1)
     indices = [parse_index(ix) for ix in indices]
     # Row 2j + part shifts amplitude j by step (part 0) or i step (part 1);
     # every shifted state of an index goes to the evaluator in one batch.

@@ -48,6 +48,7 @@ with rho_c = kappa on all sites, on the schedule cumulants.subset_splits:
 3^(n-1) - 2^(n-1) einsums in place of the Bell(n) partitions.  The reduced
 states on every subset take 16 * 5^n bytes, so n <= 11 runs under
 invariants.MAX_TABLE_BYTES and n >= 12 is refused before they are built.
+Both refusals go through invariants.check_bytes, the one check of that cap.
 On a 2-core VM (numpy 2.4) `zhou_m` on the full support of a random state
 takes 0.034 s at n = 7, 0.17 s at n = 8, 1.4 s at n = 9, 12.9 s at
 n = 10 and 133 s at n = 11 (951 MB peak).  Half the trace norm of rho_c
@@ -65,7 +66,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .cumulants import index_str, parse_index, subset_splits, support
 from .density import partial_trace, reduced_state, sites_of, split_sites
-from .invariants import MAX_TABLE_BYTES, cumulant_invariant, grid_coefficients, grid_weights
+from .invariants import check_bytes, cumulant_invariant, grid_coefficients, grid_weights
 
 # Eigenvalues at or below this size count as zero: in the Zhou measure as
 # they stand, in the lift relative to the largest.
@@ -129,11 +130,8 @@ def mixed_invariant(rho: np.ndarray, index) -> float:
     lam, vecs = lam[keep], vecs[:, keep]
     weights = grid_weights(bits)
     size = 16 * comb(len(lam) + theta, theta) * weights.size
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"lift of {index_str(bits)} at rank {len(lam)} needs {size} bytes of grid "
-            f"coefficients, over the cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
-        )
+    check_bytes(size, f"lift of {index_str(bits)} at rank {len(lam)} needs {size} bytes "
+                      "of grid coefficients")
     lattice, rows, signs, tops, scale = _lift_plan(len(lam), theta)
     c = np.zeros((len(lattice) + 1, weights.size), dtype=complex)
     for s0, block in grid_coefficients(lattice @ vecs.T, bits):
@@ -176,18 +174,15 @@ def zhou_cumulant(rho: np.ndarray) -> np.ndarray:
     Runs the moment-cumulant recursion of cumulants.subset_splits with bit
     i of a mask for site i + 1: e_c starts as the reduced state on c and
     becomes kappa_c = rho_c - sum_B kappa_B (x) rho_{c-B} in place.  The
-    table of every e_c, 16 * 5^n bytes, is refused over MAX_TABLE_BYTES.
+    table of every e_c, 16 * 5^n bytes, is refused by invariants.check_bytes
+    over MAX_TABLE_BYTES.
     """
     rho = np.asarray(rho, dtype=complex)
     n = sites_of(rho)
     if n < 2:
         raise ValueError("cumulant operator needs at least two sites")
     size = 16 * 5**n
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"cumulant operator on {n} sites needs a subset table of {size} bytes, "
-            f"over the cap of {MAX_TABLE_BYTES} (invariants.MAX_TABLE_BYTES)"
-        )
+    check_bytes(size, f"cumulant operator on {n} sites needs a subset table of {size} bytes")
     sites = [[i for i in range(n) if c >> i & 1] for c in range(1 << n)]
     axes = [s + [n + i for i in s] for s in sites]
     e = [None] + [partial_trace(rho, [i + 1 for i in s]).reshape((2,) * (2 * len(s)))

@@ -236,10 +236,8 @@ def criterion_06_monte_carlo_oracle() -> CriterionResult:
                 closed = cumulant_invariant(psi, idx)
                 est = twirl_estimate(psi, idx, samples=100_000, seed=6000 + k)
                 k += 1
-                diff = abs(est.mean - closed)
-                allowed = 5 * est.std_error + 1e-12 * max(1.0, abs(closed))
                 tw_total += 1
-                tw_passed += diff <= allowed
+                tw_passed += abs(est.mean - closed) <= est.allowance(closed)
     ok = bat_ok and tw_passed == tw_total
     return CriterionResult(
         6,
@@ -281,7 +279,7 @@ def criterion_07_lift_trace() -> CriterionResult:
                     )
                     diff = abs(est.mean - j_val)
                     tw_total += 1
-                    tw_passed += diff <= 5 * est.std_error + 1e-12 * max(1.0, abs(j_val))
+                    tw_passed += diff <= est.allowance(j_val)
                     tw_z = max(tw_z, diff / est.std_error)
     bell = generate_state("bell", 2)
     crossed = permute_sites(tensor(bell, bell), (1, 3, 2, 4))

@@ -6,7 +6,7 @@ from math import comb, prod, sqrt
 import numpy as np
 import pytest
 
-from luinv import haar
+from luinv import haar, invariants
 from luinv.cli import run_command
 from luinv.cumulants import cumulant_poly, index_str, parse_index
 from luinv.haar import (
@@ -306,12 +306,12 @@ class TestChunkedRun:
         # blocks of 2^3 rows (one 0-site projected) by BLOCK columns, then
         # 130 * 3^2 bytes of schedule; refused before anything is drawn
         chunk = 16 * (8 * CHUNK + 8 * BLOCK)
-        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", chunk + 130 * 9 - 1)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", chunk + 130 * 9 - 1)
         monkeypatch.setattr(haar, "_chunk_stats", None)
         psi = gaussian_state(np.random.default_rng(71), 4)
         with pytest.raises(ValueError, match=r"\(invariants\.MAX_TABLE_BYTES\)"):
             twirl_estimate(psi, "1101", samples=MANY, seed=0)
-        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", chunk + 130 * 9)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", chunk + 130 * 9)
         with pytest.raises(TypeError):  # admitted, and drawing starts
             twirl_estimate(psi, "1101", samples=MANY, seed=0)
 
@@ -330,8 +330,8 @@ class TestChunkedRun:
         monkeypatch.setattr(haar, "WORKERS", 3)
         monkeypatch.setattr(haar, "_chunk_results", spy)
         two_chunks = 2 * 16 * (8 * CHUNK + 8 * BLOCK)
-        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", two_chunks)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", two_chunks)
         assert twirl_estimate(psi, "1110", samples=MANY, seed=1) == expected
-        monkeypatch.setattr(haar, "MAX_TABLE_BYTES", two_chunks + 130 * 9)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", two_chunks + 130 * 9)
         assert twirl_estimate(psi, "1110", samples=MANY, seed=1) == expected
         assert seen == [1, 2]

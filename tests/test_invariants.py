@@ -11,7 +11,7 @@ from luinv import invariants
 from luinv.algebra import AlgebraElement, apply_local, permute_sites, tensor
 from luinv.cli import run_command
 from luinv.cumulants import APolynomial, cumulant_poly, index_str, splitting_indices
-from luinv.density import reduced_state
+from luinv.density import density_matrix, reduced_state
 from luinv.haar import haar_su2, twirl_estimate
 from luinv.invariants import (
     CHUNK,
@@ -29,7 +29,7 @@ from luinv.invariants import (
     sudbery_j,
     total_invariant_count,
 )
-from luinv.mixed import lifted_invariant_pair, mixed_invariant
+from luinv.mixed import lifted_invariant_pair, mixed_invariant, zhou_cumulant
 from luinv.states import save_state
 
 from conftest import gaussian_state
@@ -226,6 +226,12 @@ class TestJacobian:
         with pytest.raises(ValueError):
             invariant_jacobian(gaussian_state(np.random.default_rng(8), 2), step=0.0)
 
+    def test_non_qubit_tables_refused(self):
+        with pytest.raises(ValueError, match="qubits only"):
+            invariant_jacobian(AlgebraElement.one(2, 3))
+        with pytest.raises(ValueError, match="length 6, not a power of 2"):
+            invariant_jacobian(np.ones(6))
+
 
 def literal_invariant(amps, bits) -> float:
     """The closed form term by term: sum of weight * |image of d|^2."""
@@ -406,6 +412,21 @@ class TestGridTableCap:
             check_grid_table(bits)
         with pytest.raises(ValueError, match=str(MAX_TABLE_BYTES)):
             cumulant_invariant(np.ones(2**8) / 16, bits)
+
+    def test_one_cap_for_every_table(self, monkeypatch):
+        # lowering the one constant refuses the grid (16 * 2^3 * 2^3 bytes),
+        # the lift, the Zhou operator (16 * 5^3) and the twirl alike
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 1000)
+        over = r", over the cap of 1000 \(invariants\.MAX_TABLE_BYTES\)"
+        psi = gaussian_state(np.random.default_rng(9), 3)
+        with pytest.raises(ValueError, match="needs a grid table of 1024 bytes" + over):
+            cumulant_invariant(psi, "111")
+        with pytest.raises(ValueError, match="lift of 111 at rank 8 needs .*" + over):
+            mixed_invariant(np.eye(8) / 8, "111")
+        with pytest.raises(ValueError, match="needs a subset table of 2000 bytes" + over):
+            zhou_cumulant(density_matrix(psi))
+        with pytest.raises(ValueError, match="twirl of theta = 2 over 3 sites .*" + over):
+            twirl_estimate(psi, "110", samples=100)
 
 
 def _normalized(re_im):

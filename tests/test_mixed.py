@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from luinv.algebra import AlgebraElement, permute_sites, tensor
-from luinv import density, mixed
+from luinv import density, invariants, mixed
 from luinv.cumulants import set_partitions
 from luinv.density import density_matrix, partial_trace, reduced_state, sites_of
 from luinv.haar import register_twirl_estimate
@@ -124,6 +124,7 @@ class TestDensity:
         for keep in ([2], [5], [1, 4], [3, 2], [1, 2, 5], [2, 3, 4, 5], [1, 2, 3, 4, 5]):
             mine = reduced_state(psi, keep)
             assert np.allclose(mine, partial_trace(rho, keep), rtol=0, atol=1e-15)
+            assert np.array_equal(reduced_state(psi.coeffs, keep), mine)
         with pytest.raises(ValueError):
             reduced_state(psi, [6])
 
@@ -377,7 +378,7 @@ class TestZhou:
     def test_subset_table_over_the_cap_refused(self, monkeypatch):
         # the table of three sites, 16 * 5^3 bytes, one byte over a lowered
         # cap; n = 12 under the real cap is the CLI test's
-        monkeypatch.setattr(mixed, "MAX_TABLE_BYTES", 16 * 5**3 - 1)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 16 * 5**3 - 1)
         zhou_cumulant(density_matrix(bell()))
         with pytest.raises(ValueError, match=r"needs a subset table of 2000 bytes, over the "
                                              r"cap of 1999 \(invariants\.MAX_TABLE_BYTES\)"):
