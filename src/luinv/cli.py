@@ -4,7 +4,8 @@ Every subcommand prints one JSON report on stdout with canonical key
 order, so identical inputs, seed, and version give byte-identical
 output.  Exit codes: 0 success, 1 verification failure (a checked
 identity or verdict did not hold), 2 usage or resource error (bad
-arguments or input, unreadable files, not enough memory).  The LUINV_SEED
+arguments or input, unreadable files, not enough memory, a value out of
+range or a report value that JSON cannot carry).  The LUINV_SEED
 environment variable supplies the default seed for seeded subcommands.
 """
 
@@ -17,7 +18,7 @@ from itertools import combinations
 
 from .cumulants import index_str, parse_index, splitting_indices
 from .invariants import check_grid_table, cumulant_invariant, invariant_family
-from .haar import twirl_estimate
+from .haar import twirl_estimate, twirl_family
 from .mixed import lifted_invariant_pair, padded_index, zhou_m
 from .report import make_entry, make_report, render_report
 from .states import (
@@ -126,24 +127,41 @@ def _cmd_separability(args):
 
 def _cmd_twirl(args):
     psi = _load(args)
-    idx = _site_index(args, psi.n)
     seed = _default_seed(args.seed)
-    est = twirl_estimate(psi, idx, samples=args.samples, seed=seed)
-    closed = cumulant_invariant(psi, idx)
-    diff = abs(est.mean - closed)
-    allowed = est.allowance(closed)
-    entries = [
-        make_entry(index_str(idx), closed, 2 * sum(idx), "closed-form"),
-        make_entry(
-            index_str(idx), est.mean, 2 * sum(idx), "monte-carlo", est.std_error
-        ),
-    ]
+    if args.all:
+        indices = invariant_family(psi.n)[1:]
+        for idx in indices:  # refuse before anything is drawn
+            check_grid_table(idx)
+        ests = twirl_family(psi, indices, samples=args.samples, seed=seed)
+    else:
+        idx = _site_index(args, psi.n)
+        ests = {idx: twirl_estimate(psi, idx, samples=args.samples, seed=seed)}
+    entries, checks = [], []
+    for idx, est in ests.items():
+        closed = cumulant_invariant(psi, idx)
+        diff = abs(est.mean - closed)
+        allowed = est.allowance(closed)
+        entries += [
+            make_entry(index_str(idx), closed, 2 * sum(idx), "closed-form"),
+            make_entry(
+                index_str(idx), est.mean, 2 * sum(idx), "monte-carlo", est.std_error
+            ),
+        ]
+        checks.append({
+            "index": index_str(idx),
+            "difference": diff,
+            "allowance": allowed,
+            "verdict": "agree" if diff <= allowed else "disagree",
+        })
     doc = make_report(state_digest(psi), entries, seed=seed)
-    doc["samples"] = est.samples
-    doc["difference"] = diff
-    doc["allowance"] = allowed
-    doc["verdict"] = "agree" if diff <= allowed else "disagree"
-    return (0 if diff <= allowed else 1), doc
+    doc["samples"] = args.samples
+    if args.all:
+        doc["checks"] = checks
+    else:
+        doc.update({k: v for k, v in checks[0].items() if k != "index"})
+    agree = all(c["verdict"] == "agree" for c in checks)
+    doc["verdict"] = "agree" if agree else "disagree"
+    return (0 if agree else 1), doc
 
 
 def _cmd_lift(args):
@@ -231,7 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twirl", help="Monte-Carlo Haar average vs closed form")
     p.add_argument("--state", required=True)
-    p.add_argument("--index", required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--index", help="site index string, site 1 first")
+    g.add_argument("--all", action="store_true",
+                   help="every theta >= 2 index of the family, from one draw")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_twirl)
@@ -272,7 +293,7 @@ def run_command(argv) -> tuple[int, dict | None]:
         return code, None
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     except MemoryError as exc:
@@ -284,5 +305,10 @@ def run_command(argv) -> tuple[int, dict | None]:
 def main(argv=None) -> None:
     code, doc = run_command(sys.argv[1:] if argv is None else argv)
     if doc is not None:
-        sys.stdout.write(render_report(doc))
+        try:
+            text = render_report(doc)
+        except ValueError as exc:  # a value out of JSON's range
+            print(f"error: the report cannot be written as JSON: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+        sys.stdout.write(text)
     raise SystemExit(code)

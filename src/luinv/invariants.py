@@ -73,7 +73,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def evaluate_d(table: np.ndarray) -> np.ndarray:
+def evaluate_d(table: np.ndarray, width: int = CHUNK) -> np.ndarray:
     """d at every column of a (2**theta, m) support table.
 
     Row r holds the amplitude of the support subset r, the first support
@@ -87,17 +87,18 @@ def evaluate_d(table: np.ndarray) -> np.ndarray:
     never holds the first site, so e is updated in place: the odd masks run
     in increasing order (cumulants.subset_splits), and e_B has become d_B
     by the time S reads it.
-    The columns are taken at most CHUNK at a time.
+    The columns are taken at most `width` at a time, CHUNK by default; no
+    column's value depends on it.
     """
     theta = len(table).bit_length() - 1
     out = np.empty(table.shape[1], dtype=complex)
-    for c0 in range(0, table.shape[1], CHUNK):
-        a = table[:, c0 : c0 + CHUNK]
+    for c0 in range(0, table.shape[1], width):
+        a = table[:, c0 : c0 + width]
         power = list(accumulate([a[0]] * (theta - 1), np.multiply, initial=1))  # a0^k
         e = [a[c] * power[c.bit_count() - 1] for c in range(len(a))]
         for s, b, c in subset_splits(theta):
             e[s] -= e[b] * e[c]
-        out[c0 : c0 + CHUNK] = e[-1]
+        out[c0 : c0 + width] = e[-1]
     return out
 
 

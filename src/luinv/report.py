@@ -50,5 +50,9 @@ def make_report(
 
 
 def render_report(doc: dict) -> str:
-    """Canonical serialization: stable across runs for equal content."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: stable across runs for equal content.
+
+    Strict JSON (RFC 8259): a NaN or infinite value raises ValueError
+    instead of printing NaN or Infinity.
+    """
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

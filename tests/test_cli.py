@@ -113,6 +113,61 @@ class TestTwirlCommand:
         assert doc["seed"] == 31
 
 
+class TestTwirlAll:
+    def test_every_index_agrees(self, ghz_file):
+        code, doc = run_command(
+            ["twirl", "--state", ghz_file, "--all", "--samples", "5000", "--seed", "7"]
+        )
+        assert code == 0 and doc["verdict"] == "agree"
+        assert [c["index"] for c in doc["checks"]] == ["110", "101", "011", "111"]
+        assert all(c["verdict"] == "agree" for c in doc["checks"])
+        assert len(doc["entries"]) == 8 and doc["samples"] == 5000 and doc["seed"] == 7
+
+    def test_one_disagreement_exits_1(self, ghz_file, monkeypatch):
+        closed = cli.cumulant_invariant
+        monkeypatch.setattr(
+            cli, "cumulant_invariant",
+            lambda psi, idx: closed(psi, idx) + (1.0 if tuple(idx) == (1, 0, 1) else 0.0),
+        )
+        code, doc = run_command(["twirl", "--state", ghz_file, "--all", "--samples", "5000"])
+        assert code == 1 and doc["verdict"] == "disagree"
+        assert [c["index"] for c in doc["checks"] if c["verdict"] == "disagree"] == ["101"]
+
+    def test_index_and_all_exclusive(self, ghz_file, capsys):
+        code, doc = run_command(["twirl", "--state", ghz_file, "--all", "--index", "111"])
+        assert code == 2 and doc is None
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_over_the_cap_refused_before_drawing(self, ghz_file, monkeypatch, capsys):
+        from luinv import haar, invariants
+
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 10_000)
+        monkeypatch.setattr(haar, "_draw", None)
+        code, doc = run_command(["twirl", "--state", ghz_file, "--all"])
+        assert code == 2 and doc is None
+        assert "(invariants.MAX_TABLE_BYTES)" in capsys.readouterr().err
+
+    def test_grid_over_the_cap_refused_before_drawing(self, tmp_path, monkeypatch, capsys):
+        # at n = 7 the twirl's chunks fit 100 MB but the all-ones grid
+        # table (573 MB) does not: refused before the twirl draws
+        from luinv import haar, invariants
+
+        p = tmp_path / "r7.json"
+        save_state(generate_state("random", 7, seed=2), p)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 100_000_000)
+        monkeypatch.setattr(haar, "_draw", None)
+        code, doc = run_command(["twirl", "--state", str(p), "--all"])
+        assert code == 2 and doc is None
+        assert "grid table" in capsys.readouterr().err
+
+    def test_one_site_state_has_no_index(self, tmp_path, capsys):
+        p = tmp_path / "one.json"
+        save_state(generate_state("random", 1, seed=3), p)
+        code, doc = run_command(["twirl", "--state", str(p), "--all"])
+        assert code == 2 and doc is None
+        assert "theta >= 2" in capsys.readouterr().err
+
+
 class TestLiftCommand:
     def test_single_trace_agrees(self, ghz_file):
         code, doc = run_command(
@@ -261,6 +316,34 @@ class TestUsageErrors:
         assert code == 2 and doc is None
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
+
+class TestOutOfRange:
+    """Scaled states end in exit 2 with a message, never a traceback or a
+    NaN on stdout."""
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        ghz = generate_state("ghz", 3)
+        save_state(luinv.AlgebraElement(3, 2, ghz.coeffs * 1e60), p)
+        code, doc = run_command(["separability", "--state", str(p), "--partition", "1|2,3"])
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_report_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        save_state(luinv.AlgebraElement(2, 2, np.array([1e300, 2e300, -1e300, 3e300j])), p)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["invariants", "--state", str(p), "--all"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the report cannot be written as JSON")
+
+    def test_render_refuses_nan(self):
+        doc = make_report("x", [make_entry("11", float("nan"), 4, "closed-form")])
+        with pytest.raises(ValueError):
+            render_report(doc)
 
 
 class TestReportRendering:

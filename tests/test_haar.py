@@ -21,6 +21,7 @@ from luinv.haar import (
     moment_battery,
     register_twirl_estimate,
     twirl_estimate,
+    twirl_family,
 )
 from luinv.invariants import cumulant_invariant, gamma_factor, invariant_family
 from luinv.states import save_state
@@ -285,17 +286,39 @@ class TestChunkedRun:
     def test_worker_error_reaches_the_cli(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "psi.json"
         save_state(gaussian_state(np.random.default_rng(70), 3), path)
-        chunk_stats = haar._chunk_stats
+        draw = haar._draw
 
-        def failing(amps, bits, register, seed, k, b):
+        def failing(seed, k, b, free, register, out):
             if k == 1:
                 raise MemoryError("Unable to allocate")
-            return chunk_stats(amps, bits, register, seed, k, b)
+            return draw(seed, k, b, free, register, out)
 
         monkeypatch.setattr(haar, "WORKERS", 2)
-        monkeypatch.setattr(haar, "_chunk_stats", failing)
+        monkeypatch.setattr(haar, "_draw", failing)
         threads = threading.active_count()
         code, doc = run_command(["twirl", "--state", str(path), "--index", "111",
+                                 "--samples", str(MANY)])
+        assert code == 2 and doc is None
+        assert "out of memory" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("args", [["--index", "111"], ["--all"]])
+    def test_block_error_reaches_the_cli(self, tmp_path, monkeypatch, capsys, args):
+        path = tmp_path / "psi.json"
+        save_state(gaussian_state(np.random.default_rng(73), 3), path)
+        block = haar._block
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 7:  # a block of the second chunk
+                raise MemoryError("Unable to allocate")
+            return block(*args)
+
+        monkeypatch.setattr(haar, "WORKERS", 2)
+        monkeypatch.setattr(haar, "_block", failing)
+        threads = threading.active_count()
+        code, doc = run_command(["twirl", "--state", str(path), *args,
                                  "--samples", str(MANY)])
         assert code == 2 and doc is None
         assert "out of memory" in capsys.readouterr().err
@@ -307,7 +330,7 @@ class TestChunkedRun:
         # 130 * 3^2 bytes of schedule; refused before anything is drawn
         chunk = 16 * (8 * CHUNK + 8 * BLOCK)
         monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", chunk + 130 * 9 - 1)
-        monkeypatch.setattr(haar, "_chunk_stats", None)
+        monkeypatch.setattr(haar, "_draw", None)
         psi = gaussian_state(np.random.default_rng(71), 4)
         with pytest.raises(ValueError, match=r"\(invariants\.MAX_TABLE_BYTES\)"):
             twirl_estimate(psi, "1101", samples=MANY, seed=0)
@@ -335,3 +358,104 @@ class TestChunkedRun:
         monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", two_chunks + 130 * 9)
         assert twirl_estimate(psi, "1110", samples=MANY, seed=1) == expected
         assert seen == [1, 2]
+
+    @pytest.mark.parametrize("workers,cap_chunks,limit", [(2, None, 3), (3, None, 4), (3, 2, 2)])
+    def test_chunks_holding_rows_within_the_in_flight_rule(
+        self, monkeypatch, workers, cap_chunks, limit
+    ):
+        # a chunk holds drawn rows from its draw until its last block; at
+        # most one more chunk than threads, and no more than fit the cap
+        draw, block = haar._draw, haar._block
+        lock = threading.Lock()
+        live, done, peak, lane = {}, {}, [0], [0, 0]
+
+        def spy_draw(seed, k, b, free, register, out):
+            with lock:
+                live[k] = -(-b // BLOCK)
+                peak[0] = max(peak[0], len(live))
+            drawn = draw(seed, k, b, free, register, out)
+            done[id(drawn[0])] = k
+            return drawn
+
+        def spy_block(plan, drawn, *args):
+            with lock:  # blocks share one scratch: never two at once
+                lane[0] += 1
+                lane[1] = max(lane)
+            block(plan, drawn, *args)
+            with lock:
+                lane[0] -= 1
+                k = done[id(drawn[0])]
+                live[k] -= 1
+                if not live[k]:
+                    del live[k]
+
+        monkeypatch.setattr(haar, "WORKERS", workers)
+        monkeypatch.setattr(haar, "_draw", spy_draw)
+        monkeypatch.setattr(haar, "_block", spy_block)
+        if cap_chunks:
+            chunk = 16 * (8 * CHUNK + 8 * BLOCK)  # 1110 over 4 sites, as above
+            monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", cap_chunks * chunk + 130 * 9)
+        psi = gaussian_state(np.random.default_rng(74), 4)
+        est = twirl_estimate(psi, "1110", samples=5 * CHUNK, seed=3)
+        assert 1 <= peak[0] <= limit and not live and lane == [0, 1]
+        monkeypatch.setattr(haar, "WORKERS", 1)
+        assert est == twirl_estimate(psi, "1110", samples=5 * CHUNK, seed=3)
+
+
+class TestFamilyTwirl:
+    """One draw per chunk serves every index of the state."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_one_twirl_per_index(self, n):
+        psi = gaussian_state(np.random.default_rng(80 + n), n)
+        family = twirl_family(psi, samples=MANY, seed=90 + n)
+        indices = invariant_family(n)[1:]
+        assert list(family) == indices
+        for bits in indices:
+            one = twirl_estimate(psi, bits, samples=MANY, seed=90 + n)
+            est = family[bits]
+            assert abs(est.mean - one.mean) <= 1e-13 * abs(one.mean)
+            if n > 2:  # for two sites |d|^2 does not vary: the SE is roundoff
+                assert abs(est.std_error - one.std_error) <= 1e-13 * one.std_error
+            assert (est.samples, est.seed) == (MANY, 90 + n)
+
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        psi = gaussian_state(np.random.default_rng(85), 4)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(haar, "WORKERS", workers)
+            runs.append(twirl_family(psi, ["1100", "0111", (1, 1, 1, 1)], MANY, 4))
+        assert runs[0] == runs[1] == runs[2]
+        assert list(runs[0]) == [(1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 1, 1)]
+
+    def test_subset_projects_the_sites_zero_in_every_index(self):
+        # 1100 and 0100... site 4 is 0 in both, so it is projected, and the
+        # estimates still match the single-index twirls
+        psi = gaussian_state(np.random.default_rng(86), 4)
+        family = twirl_family(psi, ["1100", "0110"], samples=SAMPLES, seed=5)
+        for bits, est in family.items():
+            one = twirl_estimate(psi, bits, samples=SAMPLES, seed=5)
+            assert abs(est.mean - one.mean) <= 1e-13 * abs(one.mean)
+
+    @pytest.mark.parametrize(
+        "indices,match",
+        [(["10"], "theta >= 2"), (["111"], "has 3 sites"), ([], "an index")],
+    )
+    def test_bad_indices_rejected(self, indices, match):
+        psi = gaussian_state(np.random.default_rng(87), 2)
+        with pytest.raises(ValueError, match=match):
+            twirl_family(psi, indices, samples=100)
+
+    def test_over_the_cap_refused_before_drawing(self, monkeypatch):
+        # 1100 and 0110 over 4 sites: rows of 2 * 4 numbers; site 4 is
+        # projected, so blocks of 2^3 rows, and each index copies its 2^2
+        # support rows; 8 bytes a sample for the second index; one schedule
+        chunk = 16 * (8 * CHUNK + (8 + 4) * BLOCK) + 8 * CHUNK
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", chunk + 130 * 3 - 1)
+        monkeypatch.setattr(haar, "_draw", None)
+        psi = gaussian_state(np.random.default_rng(88), 4)
+        with pytest.raises(ValueError, match=r"\(invariants\.MAX_TABLE_BYTES\)"):
+            twirl_family(psi, ["1100", "0110"], samples=MANY)
+        monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", chunk + 130 * 3)
+        with pytest.raises(TypeError):  # admitted, and drawing starts
+            twirl_family(psi, ["1100", "0110"], samples=MANY)
