@@ -2,9 +2,9 @@
 
 Run from the root of a checkout:
 
-    python3 bench/write.py --tag 0.1.11
-    python3 bench/write.py --tag 0.1.10 --root ../parent-checkout
-    python3 bench/write.py --compare BENCH_0.1.10.json BENCH_0.1.11.json
+    python3 bench/write.py --tag 0.1.12
+    python3 bench/write.py --tag 0.1.11 --root ../parent-checkout
+    python3 bench/write.py --compare BENCH_0.1.11.json BENCH_0.1.12.json
 
 The first form writes BENCH_<tag>.json in the current directory.  Every case
 runs `--repeats` times as a child process of this one, which imports
@@ -15,7 +15,11 @@ neither numpy nor luinv:
 - `selftest/criterion-06`: `python -m luinv selftest --criteria 6`, the
   criterion's own seconds from stderr, and `selftest/criterion-06/process`
   its process wall time;
-- `tier1`: the tier-1 test command of ROADMAP.md, wall time.
+- `tier1`: the tier-1 test command of ROADMAP.md, wall time;
+- `cli/...`: `python -m luinv` on states from `gen --kind random --seed 1`:
+  `invariants --all` and `separability` at n = 7 (`--repeats` runs) and
+  n = 8 (one run), and the r = 16 lift (n = 8, traced 5,6,7,8, index 1111,
+  whose verdict is "disagree", exit 1), wall time.
 
 A row holds the median and the interquartile range of its k values, the
 peak RSS of its largest child (wait4 counts a child with the children it
@@ -39,6 +43,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 CRITERION_S = re.compile(r"^criterion\s+6 \w+ .*\(([\d.]+) s\)$", re.M)
+# (case, n, luinv arguments after the state, expected exit code, runs: None for --repeats)
+CLI_CASES = [
+    ("cli/invariants-all/n7", 7, ["invariants", "--all"], 0, None),
+    ("cli/separability/n7", 7, ["separability", "--partition", "1,2,3|4,5,6,7"], 1, None),
+    ("cli/invariants-all/n8", 8, ["invariants", "--all"], 0, 1),
+    ("cli/separability/n8", 8, ["separability", "--partition", "1,2,3,4|5,6,7,8"], 1, 1),
+    ("cli/lift-r16/n8", 8, ["lift", "--trace-out", "5,6,7,8", "--index", "1111"], 1, None),
+]
 
 
 def _run(cmd: list[str], root: Path) -> tuple[int, float, float, str, str]:
@@ -70,9 +82,9 @@ def write(tag: str, root: Path, repeats: int) -> Path:
     env = {"numpy": numpy, "cpus": cpus}
     rows = []
 
-    def measure(cmd):
+    def measure(cmd, expect=0):
         code, wall, rss, out, err = _run(cmd, root)
-        if code != 0:
+        if code != expect:
             raise SystemExit(f"{' '.join(cmd)} exited with {code}:\n{err[-2000:]}")
         return wall, rss, out, err
 
@@ -108,6 +120,22 @@ def write(tag: str, root: Path, repeats: int) -> Path:
         walls.append(wall)
         rss.append(peak)
     rows.append(_row("tier1", "s", walls, rss, env))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        states = {}
+        for n in sorted({n for _, n, _, _, _ in CLI_CASES}):
+            states[n] = str(Path(tmp) / f"random{n}.json")
+            measure([sys.executable, "-m", "luinv", "gen", "--kind", "random", "-n", str(n),
+                     "--seed", "1", "-o", states[n]])
+        for case, n, args, expect, runs in CLI_CASES:
+            walls, rss = [], []
+            for _ in range(runs or repeats):
+                wall, peak, _, _ = measure([sys.executable, "-m", "luinv", args[0],
+                                            "--state", states[n], *args[1:]], expect)
+                walls.append(wall)
+                rss.append(peak)
+            rows.append(_row(case, "s", walls, rss, env))
+            print(f"{case}: done", file=sys.stderr)
 
     path = Path(f"BENCH_{tag}.json")
     doc = {"tag": tag, "python": sys.version.split()[0], **env, "rows": rows}

@@ -34,12 +34,22 @@ from .transvectants import family_covariant
 
 LIFT_RTOL = 1e-10
 SEPARABLE_RTOL = 1e-10
+# Seeds key a Philox stream, whose key is an integer in 0 .. 2**128 - 1.
+SEED_LIMIT = 2**128
 
 
 def _default_seed(value):
-    if value is not None:
-        return value
-    return int(os.environ.get("LUINV_SEED", "0"))
+    """--seed if given, else LUINV_SEED, else 0; refused outside Philox's key range."""
+    name = "--seed"
+    if value is None:
+        name, text = "LUINV_SEED", os.environ.get("LUINV_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"LUINV_SEED={text!r} is not an integer") from None
+    if not 0 <= value < SEED_LIMIT:
+        raise ValueError(f"{name} {value} is outside 0 .. 2**128 - 1, the range of a Philox key")
+    return value
 
 
 def _load(args):

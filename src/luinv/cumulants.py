@@ -243,9 +243,14 @@ def splits_partition(index, blocks) -> bool:
 
 
 def splitting_indices(blocks, n: int) -> list[tuple[int, ...]]:
-    """All indices over n sites whose support meets >= 2 blocks."""
-    blocks = check_partition(blocks, n)
-    return [bits for bits in product((0, 1), repeat=n) if _splits(bits, blocks)]
+    """All indices over n sites whose support meets >= 2 blocks.  Each call
+    returns a new list of the index tuples cached for the partition."""
+    return list(_splitting_indices(check_partition(blocks, n), n))
+
+
+@lru_cache(maxsize=256)
+def _splitting_indices(blocks, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(bits for bits in product((0, 1), repeat=n) if _splits(bits, blocks))
 
 
 def dimension_counts(n: int, d: int, blocks) -> tuple[int, int]:

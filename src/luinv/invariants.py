@@ -18,11 +18,15 @@ where R_{p,theta-1} d has no terms.  So F is sampled on a grid of roots
 of unity with one axis per site, of length theta+1 at a 0-site and
 theta-1 at a 1-site; the n-D FFT of the samples divided by the grid size
 is every c_k, without aliasing.  The raised amplitudes of one state fill
-a table of 2^theta rows by the grid points; an index whose table exceeds
-MAX_TABLE_BYTES is refused before it is built.  That one cap, checked by
-`check_bytes`, also bounds the mixed lift, the Zhou operator and the twirl's
-chunks in flight.  The norm index
-(theta = 1) is handled separately: I = <psi|psi>.
+a table of 2^theta rows by the grid points, built one site at a time.  A
+block of states, or a slab of one state's grid that fixes the grid points
+of its first sites, holds at most TABLE_BUDGET bytes of that table, so only
+the samples, 16 bytes per grid point, grow with the grid.  An index whose
+samples plus one slab exceed MAX_TABLE_BYTES is refused before the slab is
+built.  That one cap, checked by `check_bytes`, also bounds the mixed lift,
+the Zhou operator and the twirl's chunks in flight.  The norm index
+(theta = 1) is handled separately: I = <psi|psi>; an index with no 1 is
+refused.
 
 d is evaluated on the 2^theta support rows of the table by the
 moment-cumulant recursion over subsets, cleared of a_{0..0}, never as
@@ -38,7 +42,7 @@ through `grid_coefficients`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, prod
 from typing import Sequence
@@ -51,13 +55,16 @@ from .density import density_matrix, partial_trace
 # Singular values below this fraction of the largest count as zero rank.
 JACOBIAN_SV_RTOL = 1e-7
 
-# Grid points per block: a block holds as many states as fit, and the
-# product over d's factors runs over at most this many grid points at a
-# time, so the work arrays stay small for any grid or batch size.
+# Columns per step of evaluate_d's recursion, so its work arrays stay small
+# for any table.
 CHUNK = 1024
 
-# Largest raised grid table, 16 * 2^theta bytes per grid point of one state,
-# that the evaluator builds; a larger index is refused before allocating.
+# Bytes of raised grid table, 16 * 2^theta per grid point and state, that
+# one block or slab of grid_coefficients builds.
+TABLE_BUDGET = 16 << 20
+
+# Largest table the package builds: one state's grid samples plus one slab
+# for the evaluator; a larger index is refused before allocating.
 MAX_TABLE_BYTES = 2**30
 
 
@@ -104,15 +111,35 @@ def evaluate_d(table: np.ndarray, width: int = CHUNK) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _grid_plan(bits: tuple[int, ...]):
-    """Axis lengths, roots of unity and moment weights for one index."""
+    """Axis lengths, roots of unity, per-site moment weights and the grid
+    points of the sites from k on, for k = 0..n, of one index."""
     theta = sum(bits)
     lengths = tuple(theta - 1 if b else theta + 1 for b in bits)
     roots = tuple(_frozen(np.exp(2j * np.pi * np.arange(m) / m)) for m in lengths)
-    weights = np.ones(())
-    for b, m in zip(bits, lengths):
-        base = theta - 2 if b else theta
-        weights = np.multiply.outer(weights, [1.0 / comb(base, k) for k in range(m)])
-    return lengths, roots, _frozen(weights.reshape(-1))
+    factors = tuple(
+        _frozen(np.array([1.0 / comb(theta - 2 if b else theta, k) for k in range(m)]))
+        for b, m in zip(bits, lengths)
+    )
+    tails = tuple(prod(lengths[k:]) for k in range(len(bits) + 1))
+    return lengths, roots, factors, tails
+
+
+def index_weight(bits: tuple[int, ...]) -> int:
+    """theta, the number of 1s of an index.  An index with none is refused:
+    its grid sum is |sum_j psi_j|^2, which is not a local-unitary invariant."""
+    theta = sum(bits)
+    if theta == 0:
+        raise ValueError(f"index {index_str(bits)} has no 1: an invariant needs theta >= 1")
+    return theta
+
+
+def _slab_sites(bits: tuple[int, ...]) -> int:
+    """k, the fewest leading sites whose grid points a slab fixes so that one
+    state's raised table, 16 * 2^theta bytes per grid point, fits
+    TABLE_BUDGET; 0 when the whole table fits."""
+    tails = _grid_plan(bits)[3]
+    row = 16 << sum(bits)
+    return next((k for k, t in enumerate(tails) if row * t <= TABLE_BUDGET), len(bits))
 
 
 def check_bytes(size: int, need: str) -> None:
@@ -125,13 +152,47 @@ def check_bytes(size: int, need: str) -> None:
 
 
 def check_grid_table(bits: tuple[int, ...]) -> None:
-    """Refuse an index whose raised grid table exceeds MAX_TABLE_BYTES.
+    """Refuse an index with no 1, or one whose grid needs more than
+    MAX_TABLE_BYTES: one state's samples, 16 bytes per grid point, and the
+    raised table of one slab (see grid_coefficients).
 
     The norm index has a 1-site axis of length theta - 1 = 0 and no table.
     """
-    theta = sum(bits)
-    size = 16 * 2**theta * prod(theta - 1 if b else theta + 1 for b in bits)
-    check_bytes(size, f"index {index_str(bits)} needs a grid table of {size} bytes")
+    theta = index_weight(bits)
+    tails = _grid_plan(bits)[3]
+    size = 16 * tails[0] + (16 << theta) * tails[_slab_sites(bits)]
+    check_bytes(size, f"index {index_str(bits)} needs a grid table of {size} bytes "
+                      "(its samples and one slab)")
+
+
+def _raised_samples(block: np.ndarray, bits: tuple[int, ...], roots) -> np.ndarray:
+    """d at every grid point spanned by `roots`, one root array per site,
+    for each state of a (count, 2**n) block: shape (count,) + the root
+    lengths, in site order.
+
+    Each site is one step on a contiguous view of the table, whose axes are
+    the digits kept at the 1-sites done (latest first), this site's digit,
+    the later sites' digits with the state, and the grid points of the
+    sites done (latest first).  The step writes F's raised amplitude,
+    hi * root + lo, in front of the grid axes done; at a 1-site it also
+    keeps hi, under a new leading digit.
+    """
+    n, count = len(bits), len(block)
+    t, rows, done = block.T, 1, 1
+    for p, (b, root) in enumerate(zip(bits, roots)):
+        t = t.reshape(rows, 2, (1 << (n - p - 1)) * count, 1, done)
+        lo, hi = t[:, 0], t[:, 1]
+        t = np.empty((2,) * b + (rows, lo.shape[1], len(root), done), dtype=complex)
+        raised = t[0] if b else t
+        np.multiply(hi, root[:, None], out=raised)
+        raised += lo
+        if b:
+            t[1] = hi
+            rows *= 2
+        done *= len(root)
+    lengths = tuple(len(r) for r in roots)
+    samples = evaluate_d(t.reshape(rows, -1)).reshape((count,) + lengths[::-1])
+    return samples.transpose((0,) + tuple(range(n, 0, -1)))
 
 
 def grid_coefficients(amps: np.ndarray, bits: tuple[int, ...]):
@@ -139,34 +200,49 @@ def grid_coefficients(amps: np.ndarray, bits: tuple[int, ...]):
 
     Yields (start, c) per block of states, c of shape (block, grid points)
     with row j for state start + j, so that I = sum_k alpha_k |c_k|^2 with
-    alpha = grid_weights(bits).  Only one block is held at a time.
+    alpha = grid_weights(bits).  A block holds as many states as their
+    raised tables fit TABLE_BUDGET.  A state whose table does not fit is a
+    block of its own, raised one slab at a time: a slab fixes the grid
+    points of the first k sites (_slab_sites) and writes its samples into
+    the state's sample array.  Only one block and one slab are held at a
+    time.  An index over the cap is refused at the call, before any block.
     """
     check_grid_table(bits)
-    lengths, roots, _ = _grid_plan(bits)
-    n, theta, points = len(bits), sum(bits), prod(lengths)
-    per = max(1, CHUNK // points)
+    return _grid_blocks(amps, bits)
+
+
+def _grid_blocks(amps: np.ndarray, bits: tuple[int, ...]):
+    lengths, roots, _, tails = _grid_plan(bits)
+    points, k = tails[0], _slab_sites(bits)
+    per = max(1, TABLE_BUDGET // ((16 << sum(bits)) * points))
+    # fftn's passes, the last axis first; a length-1 axis (a 1-site at
+    # theta = 2) transforms to itself
+    axes = [p + 1 for p in reversed(range(len(lengths))) if lengths[p] > 1]
     for s0 in range(0, amps.shape[0], per):
         block = amps[s0 : s0 + per]
-        # Axes of t: the digits kept at the 1-sites done (latest first), the
-        # sites to do, the state, the grid axes of the sites done.
-        t = block.T.reshape((2,) * n + (block.shape[0],))
-        digits = 0
-        for b, root in zip(bits, roots):
-            at = (slice(None),) * digits
-            hi = t[at + (1, ..., None)]
-            raised = t[at + (0, ..., None)] + hi * root
-            if b:
-                raised = np.stack((raised, np.broadcast_to(hi, raised.shape)))
-                digits += 1
-            t = raised
-        samples = evaluate_d(t.reshape(2**theta, -1))
-        c = np.fft.fftn(samples.reshape((-1,) + lengths), axes=range(1, n + 1)) / points
-        yield s0, c.reshape(c.shape[0], -1)
+        if k == 0:
+            c = np.ascontiguousarray(_raised_samples(block, bits, roots))
+        else:  # one state, slab by slab
+            c = np.empty((1,) + lengths, dtype=complex)
+            for j in np.ndindex(lengths[:k]):
+                at = tuple(slice(i, i + 1) for i in j)
+                fixed = tuple(r[s] for r, s in zip(roots, at))
+                c[(slice(None),) + at] = _raised_samples(block, bits, fixed + roots[k:])
+        for axis in axes:  # the samples become the c_k
+            c = np.fft.fft(c, axis=axis)
+        c /= points
+        yield s0, c.reshape(len(block), -1)
 
 
 def grid_weights(bits: tuple[int, ...]) -> np.ndarray:
-    """The moment weights alpha_k, flat in the order of grid_coefficients."""
-    return _grid_plan(bits)[2]
+    """The moment weights alpha_k, flat in the order of grid_coefficients,
+    built per call from the per-site factors."""
+    return reduce(np.multiply.outer, _grid_plan(bits)[2]).reshape(-1)
+
+
+def grid_points(bits: tuple[int, ...]) -> int:
+    """The number of grid points of an index, the length of its weights."""
+    return _grid_plan(bits)[3][0]
 
 
 def cumulant_invariant_batch(amps, index) -> np.ndarray:
@@ -178,12 +254,16 @@ def cumulant_invariant_batch(amps, index) -> np.ndarray:
         raise ValueError(
             f"amplitude batch has shape {amps.shape}, expected (B, {2 ** len(bits)})"
         )
-    if sum(bits) == 1:
+    if index_weight(bits) == 1:
         return np.array([np.vdot(a, a).real for a in amps])
+    blocks = grid_coefficients(amps, bits)  # refuses an index over the cap
     weights = grid_weights(bits)
     out = np.empty(amps.shape[0])
-    for s0, c in grid_coefficients(amps, bits):
-        out[s0 : s0 + len(c)] = ((c.real**2 + c.imag**2) * weights).sum(axis=1)
+    for s0, c in blocks:
+        sq = c.real**2  # (|c|^2 * weights).sum(axis=1), in place
+        sq += c.imag**2
+        sq *= weights
+        out[s0 : s0 + len(c)] = sq.sum(axis=1)
     return np.maximum(out, 0.0)
 
 
@@ -199,15 +279,21 @@ def invariant_family(n: int) -> list[tuple[int, ...]]:
 
     Indices of equal weight are ordered colexicographically by support,
     e.g. 1100, 1010, 0110, 1001, 0101, 0011 for theta = 2, n = 4.
-    The family has 2^n - n members.
+    The family has 2^n - n members.  Each call returns a new list of the
+    same cached index tuples.
     """
     if n < 1:
         raise ValueError("need at least one site")
+    return list(_family(n))
+
+
+@lru_cache(maxsize=16)
+def _family(n: int) -> tuple[tuple[int, ...], ...]:
     out = [(1,) + (0,) * (n - 1)]
     for theta in range(2, n + 1):
         for supp in sorted(combinations(range(1, n + 1), theta), key=lambda c: c[::-1]):
             out.append(tuple(1 if i in supp else 0 for i in range(1, n + 1)))
-    return out
+    return tuple(out)
 
 
 def total_invariant_count(n: int) -> int:

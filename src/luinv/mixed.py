@@ -66,7 +66,14 @@ import numpy as np
 from .algebra import AlgebraElement
 from .cumulants import index_str, parse_index, subset_splits, support
 from .density import partial_trace, reduced_state, sites_of, split_sites
-from .invariants import check_bytes, cumulant_invariant, grid_coefficients, grid_weights
+from .invariants import (
+    check_bytes,
+    cumulant_invariant,
+    grid_coefficients,
+    grid_points,
+    grid_weights,
+    index_weight,
+)
 
 # Eigenvalues at or below this size count as zero: in the Zhou measure as
 # they stand, in the lift relative to the largest.
@@ -120,7 +127,7 @@ def mixed_invariant(rho: np.ndarray, index) -> float:
     if sites_of(rho) != n:
         raise ValueError(f"density matrix has {sites_of(rho)} sites, index has {n}")
     rho = _hermitian(rho, "density matrix")
-    theta = sum(bits)
+    theta = index_weight(bits)
     if theta == 1:
         return float(np.trace(rho).real)
     lam, vecs = np.linalg.eigh(rho)
@@ -128,10 +135,10 @@ def mixed_invariant(rho: np.ndarray, index) -> float:
     if not keep.any():
         return 0.0
     lam, vecs = lam[keep], vecs[:, keep]
-    weights = grid_weights(bits)
-    size = 16 * comb(len(lam) + theta, theta) * weights.size
+    size = 16 * comb(len(lam) + theta, theta) * grid_points(bits)
     check_bytes(size, f"lift of {index_str(bits)} at rank {len(lam)} needs {size} bytes "
                       "of grid coefficients")
+    weights = grid_weights(bits)
     lattice, rows, signs, tops, scale = _lift_plan(len(lam), theta)
     c = np.zeros((len(lattice) + 1, weights.size), dtype=complex)
     for s0, block in grid_coefficients(lattice @ vecs.T, bits):
@@ -164,8 +171,8 @@ def lifted_invariant_pair(psi: AlgebraElement, trace_out, kept_index) -> tuple[f
     """
     full = padded_index(psi.n, trace_out, kept_index)
     kept, _ = split_sites(trace_out, psi.n)
-    i_val = cumulant_invariant(psi, full)
-    return i_val, mixed_invariant(reduced_state(psi, kept), kept_index)
+    j_val = mixed_invariant(reduced_state(psi, kept), kept_index)  # refuses theta = 0
+    return cumulant_invariant(psi, full), j_val
 
 
 def zhou_cumulant(rho: np.ndarray) -> np.ndarray:

@@ -148,12 +148,12 @@ class TestTwirlAll:
         assert "(invariants.MAX_TABLE_BYTES)" in capsys.readouterr().err
 
     def test_grid_over_the_cap_refused_before_drawing(self, tmp_path, monkeypatch, capsys):
-        # at n = 7 the twirl's chunks fit 100 MB but the all-ones grid
-        # table (573 MB) does not: refused before the twirl draws
+        # at n = 8 the twirl's chunks fit 100 MB but the all-ones grid (92 MB
+        # of samples and a 16 MB slab) does not: refused before the twirl draws
         from luinv import haar, invariants
 
-        p = tmp_path / "r7.json"
-        save_state(generate_state("random", 7, seed=2), p)
+        p = tmp_path / "r8.json"
+        save_state(generate_state("random", 8, seed=2), p)
         monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 100_000_000)
         monkeypatch.setattr(haar, "_draw", None)
         code, doc = run_command(["twirl", "--state", str(p), "--all"])
@@ -318,6 +318,54 @@ class TestUsageErrors:
         assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
+class TestPinnedRefusals:
+    """Inputs that once gave a value with exit 0, or numpy's own wording,
+    now exit 2 with a message naming what was refused."""
+
+    def test_all_zero_index_refused(self, ghz_file, capsys):
+        code, doc = run_command(["invariants", "--state", ghz_file, "--index", "000"])
+        assert (code, doc) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: index 000 has no 1: an invariant needs theta >= 1\n")
+        with pytest.raises(ValueError, match="index 000 has no 1"):
+            luinv.cumulant_invariant(generate_state("ghz", 3), "000")
+
+    @pytest.mark.parametrize("trace_out,index", [("3", "00"), ("2,3", "0")])
+    def test_all_zero_lift_index_refused(self, ghz_file, capsys, trace_out, index):
+        code, doc = run_command(
+            ["lift", "--state", ghz_file, "--trace-out", trace_out, "--index", index]
+        )
+        assert (code, doc) == (2, None)
+        err = capsys.readouterr().err
+        assert err == f"error: index {index} has no 1: an invariant needs theta >= 1\n"
+
+    @pytest.mark.parametrize("argv,env,named", [
+        (["--seed", "-1"], None, "--seed -1"),
+        (["--seed", str(2**128)], None, f"--seed {2**128}"),
+        ([], "-1", "LUINV_SEED -1"),
+        ([], "seven", "LUINV_SEED='seven'"),
+    ], ids=["negative", "past-the-key-range", "env-negative", "env-not-an-integer"])
+    def test_seed_outside_the_key_range_named(self, ghz_file, tmp_path, monkeypatch,
+                                              capsys, argv, env, named):
+        if env is None:
+            monkeypatch.delenv("LUINV_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LUINV_SEED", env)
+        for cmd in (["twirl", "--state", ghz_file, "--index", "111", "--samples", "100"],
+                    ["gen", "--kind", "ghz", "-n", "3", "-o", str(tmp_path / "g.json")]):
+            code, doc = run_command(cmd + argv)
+            assert (code, doc) == (2, None)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named} ") and "\n" == err[-1], err
+        assert not (tmp_path / "g.json").exists()
+
+    def test_seed_at_the_ends_of_the_key_range(self, ghz_file):
+        for seed in (0, 2**128 - 1):
+            code, doc = run_command(["twirl", "--state", ghz_file, "--index", "111",
+                                     "--samples", "100", "--seed", str(seed)])
+            assert code in (0, 1) and doc["seed"] == seed
+
+
 class TestOutOfRange:
     """Scaled states end in exit 2 with a message, never a traceback or a
     NaN on stdout."""
@@ -448,12 +496,13 @@ class TestProcess:
 
     @pytest.mark.parametrize(
         "args",
-        [["invariants", "--all"], ["separability", "--partition", "1,2,3,4|5,6,7,8"]],
+        [["invariants", "--all"], ["separability", "--partition", "1,2,3,4|5,6,7,8,9"]],
         ids=["invariants", "separability"],
     )
     def test_grid_table_cap_refused_at_once(self, tmp_path, args):
-        state = tmp_path / "random8.json"
-        save_state(generate_state("random", 8, seed=81), state)
+        # the all-ones index at n = 9 has 2.1 GB of grid samples
+        state = tmp_path / "random9.json"
+        save_state(generate_state("random", 9, seed=81), state)
 
         def limit_memory():
             # should the cap stop holding, the child fails short of the machine's memory

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luinv import invariants
+from luinv import invariants, mixed
 from luinv.algebra import AlgebraElement, apply_local, permute_sites, tensor
 from luinv.cli import run_command
 from luinv.cumulants import APolynomial, cumulant_poly, index_str, splitting_indices
@@ -23,6 +23,7 @@ from luinv.invariants import (
     cumulant_invariant_batch,
     evaluate_d,
     gamma_factor,
+    grid_coefficients,
     invariant_family,
     invariant_jacobian,
     jacobian_rank,
@@ -33,6 +34,7 @@ from luinv.mixed import lifted_invariant_pair, mixed_invariant, zhou_cumulant
 from luinv.states import save_state
 
 from conftest import gaussian_state
+from grid_oracle import stacked_coefficients
 from lift_oracle import invariant_pieces
 
 # Deterministic examples, no example database written next to the tests.
@@ -275,10 +277,11 @@ class TestGridEvaluator:
                 assert cumulant_invariant(a, bits) == pytest.approx(value, rel=1e-15, abs=1e-18)
 
     def test_chunking_does_not_change_values(self, monkeypatch):
-        # a tiny CHUNK splits both the states and the grid into many blocks
+        # a tiny TABLE_BUDGET splits the states into many blocks, and a
+        # state's grid into slabs
         batch = oracle_states(4)
         whole = {bits: cumulant_invariant_batch(batch, bits) for bits in invariant_family(4)}
-        monkeypatch.setattr(invariants, "CHUNK", 7)
+        monkeypatch.setattr(invariants, "TABLE_BUDGET", 1000)
         for bits, want in whole.items():
             got = cumulant_invariant_batch(batch, bits)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-16), bits
@@ -288,6 +291,62 @@ class TestGridEvaluator:
             cumulant_invariant_batch(np.ones((2, 4)), "111")
         with pytest.raises(ValueError):
             cumulant_invariant_batch(np.ones(8), "111")
+
+
+def grid_c(amps, bits):
+    """Every c_k of a batch from grid_coefficients, one row per state."""
+    blocks = list(grid_coefficients(amps, bits))
+    starts = [s0 for s0, _ in blocks]
+    assert starts == list(np.cumsum([0] + [len(c) for _, c in blocks[:-1]]))
+    return np.concatenate([c for _, c in blocks])
+
+
+class TestRaiseOracle:
+    """The per-site contiguous raise, in blocks and slabs, against the
+    stacked broadcast build it replaced: the same bits."""
+
+    @pytest.mark.parametrize("states", [1, 37])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_c_equals_the_stacked_build(self, n, states):
+        rng = np.random.default_rng(100 * n + states)
+        special = oracle_states(n)  # W, where a_0 vanishes on grid points, and more
+        amps = np.concatenate(
+            [special, [gaussian_state(rng, n).coeffs for _ in range(states)]])[:states]
+        for bits in invariant_family(n)[1:]:
+            assert np.array_equal(grid_c(amps, bits), stacked_coefficients(amps, bits)), bits
+
+    @pytest.mark.parametrize("bits", ["111100", "101101", "1100001"])
+    def test_slabs_equal_the_whole_table(self, monkeypatch, bits):
+        bits = tuple(int(ch) for ch in bits)
+        n = len(bits)
+        amps = np.array([gaussian_state(np.random.default_rng(n + k), n).coeffs
+                         for k in range(2)])
+        whole, values = grid_c(amps, bits), cumulant_invariant_batch(amps, bits)
+        assert invariants._slab_sites(bits) == 0
+        row, tails = 16 << sum(bits), invariants._grid_plan(bits)[3]
+        for k in range(1, n):
+            monkeypatch.setattr(invariants, "TABLE_BUDGET", row * tails[k])
+            assert invariants._slab_sites(bits) == k
+            assert np.array_equal(grid_c(amps, bits), whole), k
+            assert np.array_equal(cumulant_invariant_batch(amps, bits), values), k
+
+    def test_r16_lift_in_few_blocks(self, monkeypatch):
+        # 4,844 lattice states on the 81-point grid of 1111 ran as 407
+        # blocks of 12 states at 0.1.11; a block now fills TABLE_BUDGET
+        sizes = []
+        grid = mixed.grid_coefficients
+
+        def spy(amps, bits):
+            for s0, c in grid(amps, bits):
+                sizes.append(len(c))
+                yield s0, c
+
+        monkeypatch.setattr(mixed, "grid_coefficients", spy)
+        psi = gaussian_state(np.random.default_rng(16), 8)
+        lifted_invariant_pair(psi, [5, 6, 7, 8], "1111")
+        per = invariants.TABLE_BUDGET // (16 * 2**4 * 3**4)
+        assert sum(sizes) == 4844 and sizes[:-1] == [per] * (len(sizes) - 1)
+        assert len(sizes) == -(-4844 // per) < 10
 
 
 def support_table(amps, bits):
@@ -402,16 +461,24 @@ class TestProductionPath:
 
 
 class TestGridTableCap:
-    def test_seven_qubits_admitted(self):
-        check_grid_table((1,) * 7)  # 128 x 6^7 x 16 bytes, about 573 MB
-        check_grid_table((1,) * 6 + (0, 0))  # the largest n = 8 table, 784 MB
+    """The cap counts one state's samples, 16 bytes per grid point, and one
+    slab of at most TABLE_BUDGET bytes."""
 
-    @pytest.mark.parametrize("bits", [(1,) * 8, (1,) * 7 + (0,)], ids=index_str)
+    def test_seven_qubits_admitted(self):
+        check_grid_table((1,) * 7)  # 16 x 6^7 bytes of samples, about 4.5 MB
+        check_grid_table((1,) * 6 + (0,))
+
+    def test_eight_qubits_admitted(self):
+        check_grid_table((1,) * 8)  # 16 x 7^8 bytes of samples, about 92 MB
+        check_grid_table((1,) * 6 + (0, 0))  # its whole table would take 784 MB
+
+    @pytest.mark.parametrize("bits", [(1,) * 9, (1,) * 9 + (0,)], ids=index_str)
     def test_larger_tables_refused(self, bits):
+        # 16 x 8^9 bytes of samples, about 2.1 GB, and 11 times that
         with pytest.raises(ValueError, match="MAX_TABLE_BYTES"):
             check_grid_table(bits)
         with pytest.raises(ValueError, match=str(MAX_TABLE_BYTES)):
-            cumulant_invariant(np.ones(2**8) / 16, bits)
+            cumulant_invariant(np.ones(2 ** len(bits)) / 2 ** (len(bits) / 2), bits)
 
     def test_one_cap_for_every_table(self, monkeypatch):
         # lowering the one constant refuses the grid (16 * 2^3 * 2^3 bytes),
@@ -419,7 +486,9 @@ class TestGridTableCap:
         monkeypatch.setattr(invariants, "MAX_TABLE_BYTES", 1000)
         over = r", over the cap of 1000 \(invariants\.MAX_TABLE_BYTES\)"
         psi = gaussian_state(np.random.default_rng(9), 3)
-        with pytest.raises(ValueError, match="needs a grid table of 1024 bytes" + over):
+        # 16 x 2^3 bytes of samples and the 16 x 2^3 x 2^3 byte table
+        with pytest.raises(ValueError, match=r"needs a grid table of 1152 bytes "
+                                             r"\(its samples and one slab\)" + over):
             cumulant_invariant(psi, "111")
         with pytest.raises(ValueError, match="lift of 111 at rank 8 needs .*" + over):
             mixed_invariant(np.eye(8) / 8, "111")
