@@ -18,8 +18,10 @@ neither numpy nor luinv:
 - `tier1`: the tier-1 test command of ROADMAP.md, wall time;
 - `cli/...`: `python -m luinv` on states from `gen --kind random --seed 1`:
   `invariants --all` and `separability` at n = 7 (`--repeats` runs) and
-  n = 8 (one run), and the r = 16 lift (n = 8, traced 5,6,7,8, index 1111,
-  whose verdict is "disagree", exit 1), wall time.
+  n = 8 (one run), the r = 16 lift (n = 8, traced 5,6,7,8, index 1111,
+  whose verdict is "disagree", exit 1), and two five-chunk twirls of
+  100,000 samples, `twirl --all` at n = 5 and `twirl --index 1111` at
+  n = 4, which run the chunks on the thread pool; wall time.
 
 A row holds the median and the interquartile range of its k values, the
 peak RSS of its largest child (wait4 counts a child with the children it
@@ -50,6 +52,9 @@ CLI_CASES = [
     ("cli/invariants-all/n8", 8, ["invariants", "--all"], 0, 1),
     ("cli/separability/n8", 8, ["separability", "--partition", "1,2,3,4|5,6,7,8"], 1, 1),
     ("cli/lift-r16/n8", 8, ["lift", "--trace-out", "5,6,7,8", "--index", "1111"], 1, None),
+    ("cli/twirl-all/n5", 5, ["twirl", "--all", "--samples", "100000", "--seed", "1"], 0, None),
+    ("cli/twirl-index/n4", 4, ["twirl", "--index", "1111", "--samples", "100000", "--seed", "1"],
+     0, None),
 ]
 
 

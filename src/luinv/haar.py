@@ -17,16 +17,16 @@ the subsets of the support, which reads only the table.
 
 Chunk k of CHUNK samples draws from the k-th jump of the seed's Philox
 stream (chunk 0 from the unjumped one), so any chunk can be reproduced
-without the others (Salmon et al., SC'11).  A chunk is one draw task and
-one block task per BLOCK columns.  The draw fills one table with the
-SU(2) rows of all its samples, in site order, from one call; a block
-projects, rotates and evaluates d over its columns in one scratch
-workspace.  The draws release the GIL and the blocks mostly hold it, so
-two blocks at once take as long as one after the other: on a pool of
-WORKERS threads, as many as the process may use cores, the blocks run
-one at a time, as a lane, and the draws of the next chunks run beside
-it.  Each chunk's mean and sum of squared deviations are combined in
-chunk order (Chan, Golub & LeVeque 1979).  So the bits for a given
+without the others (Salmon et al., SC'11).  A chunk is one task on a
+pool of WORKERS threads, as many as the process may use cores: a draw,
+which fills one table with the SU(2) rows of all its samples, in site
+order, from one call, then one block per BLOCK columns, which projects,
+rotates and evaluates d over its columns in one scratch workspace.  The
+draws release the GIL and the blocks mostly hold it, so two blocks at
+once take as long as one after the other: a task runs its blocks under
+one lock, the lane, and the draws of the next chunks run beside it.
+Each chunk's mean and sum of squared deviations are combined in chunk
+order (Chan, Golub & LeVeque 1979).  So the bits for a given
 (seed, samples) do not depend on the core count, memory does not grow
 with `samples`, and MAX_SAMPLES bounds the time instead.  A twirl whose
 chunk (drawn rows and widest block table) and cached subset schedule
@@ -253,103 +253,57 @@ def _block(plan, drawn, vals, c0, work):
 def _chunk_results(plan, seed, sizes, inflight):
     """Yield the (indices, b) table of |d|^2 of every chunk, in chunk order.
 
-    Each chunk is one draw task and one block task per BLOCK columns, run
-    by a pool of WORKERS threads.  The draws release the GIL and the
-    blocks mostly hold it, so blocks run one at a time, as a lane that the
-    draws run beside: a free thread takes the oldest ready block when no
-    other thread runs one, else a draw while fewer than `inflight` chunks
-    hold drawn rows.  Each of those chunks has its own table, reused from
-    chunk to chunk.  With one chunk in flight or one usable core both run
-    inline.
+    Each chunk is one task on a pool of WORKERS threads: it draws into a
+    table of its own, then runs its blocks one BLOCK of columns at a time.
+    The draws release the GIL and the blocks mostly hold it, so a task
+    takes one lock, the lane, for its blocks: they run one at a time on
+    one scratch workspace while the next chunks' draws run beside them.
+    At most `inflight` chunks are submitted; chunk k + inflight reuses
+    chunk k's table once chunk k is done.  With one chunk in flight or
+    one usable core the chunks run inline.
     """
     free = plan.amps.size.bit_length() - 1 - plan.register
     register, m = plan.register, len(plan.supports)
     workspace = [np.empty(plan.widest * min(BLOCK, sizes[0]), dtype=complex) for _ in range(3)]
-    if WORKERS == 1 or inflight == 1:
-        table = np.empty((free * sizes[0], 4))
-        for k, b in enumerate(sizes):
-            drawn = _draw(seed, k, b, free, register, table)
-            vals = np.empty((m, b))
-            for c0 in range(0, b, BLOCK):
-                _block(plan, drawn, vals, c0, workspace)
-            yield vals
+    if WORKERS == 1:
+        inflight = 1
+    tables = [np.empty((free * sizes[0], 4)) for _ in range(inflight)]
+
+    def draw(k):
+        return _draw(seed, k, sizes[k], free, register, tables[k % inflight])
+
+    def blocks(k, drawn):
+        vals = np.empty((m, sizes[k]))
+        for c0 in range(0, sizes[k], BLOCK):
+            _block(plan, drawn, vals, c0, workspace)
+        return vals
+
+    if inflight == 1:
+        for k in range(len(sizes)):
+            yield blocks(k, draw(k))
         return
     # imported here: it costs a cold single-chunk run about 9 ms
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    tables = [np.empty((free * sizes[0], 4)) for _ in range(inflight)]  # the free ones
-    held = [None] * len(sizes)  # the table of each chunk drawn
-    vals = [None] * len(sizes)
-    left = [None] * len(sizes)  # blocks not finished, per chunk drawn
-    ready = deque()  # (k, drawn, c0) of the blocks that may start
-    cond = threading.Condition()
-    state = {"drawn": 0, "lane": False, "stop": False}
+    lane = threading.Lock()
 
-    def take():
-        # the next task for this thread, or None when none is left for it
-        while not state["stop"]:
-            if ready and not state["lane"]:
-                state["lane"] = True
-                return ready.popleft()
-            if state["drawn"] < len(sizes):
-                if tables:
-                    k = state["drawn"]
-                    state["drawn"] += 1
-                    held[k] = tables.pop()
-                    return k, None, None
-            elif not ready or state["lane"]:
-                return None  # the thread in the lane or drawing does the rest
-            cond.wait()
-        return None
-
-    def worker():
-        try:
-            while True:
-                with cond:
-                    task = take()
-                if task is None:
-                    return
-                k, drawn, c0 = task
-                if drawn is None:
-                    drawn = _draw(seed, k, sizes[k], free, register, held[k])
-                    with cond:
-                        vals[k] = np.empty((m, sizes[k]))
-                        left[k] = len(range(0, sizes[k], BLOCK))
-                        ready.extend((k, drawn, c0) for c0 in range(0, sizes[k], BLOCK))
-                        cond.notify_all()
-                else:
-                    _block(plan, drawn, vals[k], c0, workspace)
-                    with cond:
-                        state["lane"] = False
-                        left[k] -= 1
-                        if not left[k]:
-                            tables.append(held[k])
-                            held[k] = None
-                        cond.notify_all()
-        except BaseException:
-            with cond:
-                state["stop"] = True
-                cond.notify_all()
-            raise
+    def chunk(k):
+        drawn = draw(k)
+        with lane:  # the blocks share `workspace`
+            return blocks(k, drawn)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        workers = [pool.submit(worker) for _ in range(WORKERS)]
+        ahead = deque(pool.submit(chunk, k) for k in range(inflight))
         try:
             for k in range(len(sizes)):
-                with cond:
-                    while left[k] != 0 and not state["stop"]:
-                        cond.wait()
-                if state["stop"]:
-                    break
-                yield vals[k]
-                vals[k] = None
+                vals = ahead.popleft().result()
+                if k + inflight < len(sizes):  # chunk k's table is free again
+                    ahead.append(pool.submit(chunk, k + inflight))
+                yield vals
         finally:
-            with cond:
-                state["stop"] = True
-                cond.notify_all()
-        for w in workers:
-            w.result()
+            for fut in ahead:
+                fut.cancel()
 
 
 def _twirl(amps, indices, gammas, samples, seed, register=0) -> list[TwirlEstimate]:

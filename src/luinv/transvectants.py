@@ -141,14 +141,12 @@ def h_covariant(state: AlgebraElement, index) -> np.ndarray:
     (f, (f, (f, f)^{1@p,q})^{1@r})^{1@p,q,r}; the remaining positions
     stay 0 through every step, which is what lifting means here.
     """
-    digits = tuple(int(c) for c in index) if isinstance(index, str) else tuple(index)
-    if len(digits) != state.n:
+    shown = index if isinstance(index, str) else "".join(str(dig) for dig in index)
+    if set(shown) - {"0", "2"} or shown.count("2") != 3:
+        raise ValueError(f"H family index {shown} needs exactly three 2s and otherwise 0s")
+    if len(shown) != state.n:
         raise ValueError("index length must match the site count")
-    if sorted(digits, reverse=True)[:3] != [2, 2, 2] or any(
-        dig not in (0, 2) for dig in digits
-    ):
-        raise ValueError("H family index needs exactly three 2s and otherwise 0s")
-    p, q, r = [i + 1 for i, dig in enumerate(digits) if dig == 2]
+    p, q, r = [i + 1 for i, c in enumerate(shown) if c == "2"]
     n = state.n
     f = fundamental_form(state)
 

@@ -339,6 +339,15 @@ class TestPinnedRefusals:
         err = capsys.readouterr().err
         assert err == f"error: index {index} has no 1: an invariant needs theta >= 1\n"
 
+    @pytest.mark.parametrize("index", ["2x2", "22²", "212", "220"])
+    def test_bad_h_family_index_named(self, ghz_file, capsys, index):
+        code, doc = run_command(
+            ["invariants", "--state", ghz_file, "--family", "H", "--index", index]
+        )
+        assert (code, doc) == (2, None)
+        assert capsys.readouterr().err == (
+            f"error: H family index {index} needs exactly three 2s and otherwise 0s\n")
+
     @pytest.mark.parametrize("argv,env,named", [
         (["--seed", "-1"], None, "--seed -1"),
         (["--seed", str(2**128)], None, f"--seed {2**128}"),

@@ -1,6 +1,7 @@
 """Haar sampling, moment battery, and the twirl estimator."""
 
 import threading
+import time
 from math import comb, prod, sqrt
 
 import numpy as np
@@ -301,6 +302,23 @@ class TestChunkedRun:
         assert code == 2 and doc is None
         assert "out of memory" in capsys.readouterr().err
         assert threading.active_count() == threads
+
+    def test_closing_early_leaves_no_thread(self, monkeypatch):
+        # the caller stops after the first chunk: the queued chunks are
+        # cancelled and the running ones joined, within a few seconds
+        monkeypatch.setattr(haar, "WORKERS", 2)
+        psi = gaussian_state(np.random.default_rng(75), 4)
+        bits = parse_index("1110")
+        plan = haar._plan(haar.qubit_amps(psi, 4), [bits], 0)
+        threads = threading.active_count()
+        start = time.perf_counter()
+        results = haar._chunk_results(plan, 5, [CHUNK] * 5, 3)
+        first = next(results)
+        results.close()
+        assert time.perf_counter() - start < 5
+        assert threading.active_count() == threads
+        monkeypatch.setattr(haar, "WORKERS", 1)
+        assert np.array_equal(first, next(haar._chunk_results(plan, 5, [CHUNK] * 5, 3)))
 
     @pytest.mark.parametrize("args", [["--index", "111"], ["--all"]])
     def test_block_error_reaches_the_cli(self, tmp_path, monkeypatch, capsys, args):
